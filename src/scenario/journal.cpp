@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "scenario/report.hpp"
 #include "util/hash.hpp"
@@ -56,17 +57,10 @@ std::string unescape(std::string_view text) {
   return out;
 }
 
-template <typename Int>
-void append_int(std::string& out, Int value) {
-  char buffer[32];
-  const auto [ptr, ec] =
-      std::to_chars(buffer, buffer + sizeof(buffer), value);
-  out.append(buffer, ec == std::errc{} ? ptr : buffer);
-}
-
-/// Shortest round-trip form: from_chars(to_chars(x)) == x exactly, so a
-/// replayed row formats identically in the reports.
-void append_double(std::string& out, double value) {
+/// Doubles in shortest round-trip form: from_chars(to_chars(x)) == x
+/// exactly, so a replayed row formats identically in the reports.
+template <typename Number>
+void append_number(std::string& out, Number value) {
   char buffer[64];
   const auto [ptr, ec] =
       std::to_chars(buffer, buffer + sizeof(buffer), value);
@@ -95,7 +89,8 @@ std::string_view checked_payload(std::string_view line) {
   return payload;
 }
 
-/// Cursor over the payload's tab-separated fields.
+/// Reads the payload's tab-separated fields in wire order; every call
+/// parses one field into a CellResult member.
 class FieldReader {
  public:
   explicit FieldReader(std::string_view payload) : rest_(payload) {}
@@ -115,40 +110,59 @@ class FieldReader {
 
   bool exhausted() const { return done_; }
 
-  template <typename Int>
-  bool next_int(Int& value) {
-    std::string_view field;
-    if (!next(field) || field.empty()) return false;
-    const auto [ptr, ec] =
-        std::from_chars(field.data(), field.data() + field.size(), value);
-    return ec == std::errc{} && ptr == field.data() + field.size();
-  }
-
-  bool next_double(double& value) {
-    std::string_view field;
-    if (!next(field) || field.empty()) return false;
-    const auto [ptr, ec] =
-        std::from_chars(field.data(), field.data() + field.size(), value);
-    return ec == std::errc{} && ptr == field.data() + field.size();
-  }
-
-  bool next_bool(bool& value) {
-    int v = 0;
-    if (!next_int(v) || (v != 0 && v != 1)) return false;
-    value = v == 1;
-    return true;
-  }
-
-  bool next_string(std::string& value) {
+  bool operator()(std::string& value) {
     std::string_view field;
     if (!next(field)) return false;
     value = unescape(field);
     return true;
   }
 
+  bool operator()(bool& value) { return (*this)(value, true); }
+
+  /// Bools and enumerations travel as ints, accepted only within
+  /// [0, last] so a corrupt record cannot forge an unnamed value.
+  template <typename Enum>
+  bool operator()(Enum& value, Enum last) {
+    int v = 0;
+    if (!(*this)(v) || v < 0 || v > static_cast<int>(last)) return false;
+    value = static_cast<Enum>(v);
+    return true;
+  }
+
+  template <typename Number>
+  bool operator()(Number& value) {
+    std::string_view field;
+    if (!next(field) || field.empty()) return false;
+    const auto [ptr, ec] =
+        std::from_chars(field.data(), field.data() + field.size(), value);
+    return ec == std::errc{} && ptr == field.data() + field.size();
+  }
+
  private:
   std::string_view rest_;
   bool done_ = false;
+};
+
+/// Appends each field after a tab, in the same wire order.
+struct FieldWriter {
+  std::string& out;
+
+  template <typename Enum>
+  bool operator()(Enum value, Enum /*last*/) {
+    return (*this)(static_cast<int>(value));
+  }
+
+  template <typename Field>
+  bool operator()(const Field& value) {
+    out += '\t';
+    if constexpr (std::is_same_v<Field, std::string>)
+      append_escaped(out, value);
+    else if constexpr (std::is_same_v<Field, bool>)
+      out += value ? '1' : '0';
+    else
+      append_number(out, value);
+    return true;
+  }
 };
 
 constexpr std::string_view kRecordTag = "C";
@@ -157,105 +171,39 @@ constexpr std::string_view kRecordTag = "C";
 // refuses it outright instead of mixing wire formats.
 constexpr std::string_view kHeaderTag = "pgj2";
 
-bool decode_status(int value, CellStatus& status) {
-  switch (value) {
-    case 0: status = CellStatus::kOk; return true;
-    case 1: status = CellStatus::kFailed; return true;
-    case 2: status = CellStatus::kTimeout; return true;
-    case 3: status = CellStatus::kMissing; return true;
-    case 4: status = CellStatus::kUnverified; return true;
-  }
-  return false;
-}
-
-bool decode_baseline(int value, BaselineKind& kind) {
-  switch (value) {
-    case 0: kind = BaselineKind::kNone; return true;
-    case 1: kind = BaselineKind::kExact; return true;
-    case 2: kind = BaselineKind::kGreedy; return true;
-  }
-  return false;
+/// The pgj2 record's fields, in wire order — the one list both encode and
+/// decode walk.  Stored members only: report columns derived from them
+/// (certified, the nulls) are recomputed on replay.  The order is frozen;
+/// changing it, or adding a field, needs a new kHeaderTag.
+template <typename Row, typename Field>
+bool visit_record(Row& row, Field&& field) {
+  return field(row.cell_index) && field(row.spec.scenario) &&
+         field(row.spec.algorithm) && field(row.spec.n) &&
+         field(row.spec.r) && field(row.spec.epsilon) &&
+         field(row.spec.epsilon_used) && field(row.spec.seed) &&
+         field(row.spec.weighting) && field(row.spec.weights_used) &&
+         field(row.status, CellStatus::kUnverified) && field(row.error) &&
+         field(row.base_edges) && field(row.comm_power) &&
+         field(row.comm_edges) && field(row.target_edges) &&
+         field(row.solution_size) && field(row.solution_weight) &&
+         field(row.feasible) && field(row.exact) && field(row.rounds) &&
+         field(row.messages) && field(row.total_bits) &&
+         field(row.baseline, BaselineKind::kGreedy) &&
+         field(row.baseline_size) && field(row.ratio) &&
+         field(row.weight_baseline, BaselineKind::kGreedy) &&
+         field(row.baseline_weight) && field(row.ratio_weight) &&
+         field(row.msgs_dropped) && field(row.msgs_corrupted) &&
+         field(row.nodes_crashed) && field(row.rounds_survived) &&
+         field(row.wall_ms) && field(row.regime) && field(row.regime_alpha);
 }
 
 }  // namespace
 
 std::string encode_cell_record(const CellResult& row) {
-  std::string p;
-  p.reserve(160);
-  p += kRecordTag;
-  p += '\t';
-  append_int(p, row.cell_index);
-  p += '\t';
-  append_escaped(p, row.spec.scenario);
-  p += '\t';
-  append_escaped(p, row.spec.algorithm);
-  p += '\t';
-  append_int(p, row.spec.n);
-  p += '\t';
-  append_int(p, row.spec.r);
-  p += '\t';
-  append_double(p, row.spec.epsilon);
-  p += '\t';
-  append_int(p, row.spec.epsilon_used ? 1 : 0);
-  p += '\t';
-  append_int(p, row.spec.seed);
-  p += '\t';
-  append_escaped(p, row.spec.weighting);
-  p += '\t';
-  append_int(p, row.spec.weights_used ? 1 : 0);
-  p += '\t';
-  append_int(p, static_cast<int>(row.status));
-  p += '\t';
-  append_escaped(p, row.error);
-  p += '\t';
-  append_int(p, row.base_edges);
-  p += '\t';
-  append_int(p, row.comm_power);
-  p += '\t';
-  append_int(p, row.comm_edges);
-  p += '\t';
-  append_int(p, row.target_edges);
-  p += '\t';
-  append_int(p, row.solution_size);
-  p += '\t';
-  append_int(p, row.solution_weight);
-  p += '\t';
-  append_int(p, row.feasible ? 1 : 0);
-  p += '\t';
-  append_int(p, row.exact ? 1 : 0);
-  p += '\t';
-  append_int(p, row.rounds);
-  p += '\t';
-  append_int(p, row.messages);
-  p += '\t';
-  append_int(p, row.total_bits);
-  p += '\t';
-  append_int(p, static_cast<int>(row.baseline));
-  p += '\t';
-  append_int(p, row.baseline_size);
-  p += '\t';
-  append_double(p, row.ratio);
-  p += '\t';
-  append_int(p, static_cast<int>(row.weight_baseline));
-  p += '\t';
-  append_int(p, row.baseline_weight);
-  p += '\t';
-  append_double(p, row.ratio_weight);
-  p += '\t';
-  append_int(p, row.msgs_dropped);
-  p += '\t';
-  append_int(p, row.msgs_corrupted);
-  p += '\t';
-  append_int(p, row.nodes_crashed);
-  p += '\t';
-  append_int(p, row.rounds_survived);
-  p += '\t';
-  append_double(p, row.wall_ms);
-  p += '\t';
-  append_escaped(p, row.regime);
-  p += '\t';
-  append_double(p, row.regime_alpha);
-  return with_checksum(std::move(p));
+  std::string payload(kRecordTag);
+  payload.reserve(160);
+  visit_record(row, FieldWriter{payload});
+  return with_checksum(std::move(payload));
 }
 
 bool decode_cell_record(std::string_view line, CellResult& row) {
@@ -264,40 +212,8 @@ bool decode_cell_record(std::string_view line, CellResult& row) {
   FieldReader fields(payload);
   std::string_view tag;
   if (!fields.next(tag) || tag != kRecordTag) return false;
-
   row = CellResult{};
-  int status = 0, baseline = 0, weight_baseline = 0;
-  const bool ok =
-      fields.next_int(row.cell_index) &&
-      fields.next_string(row.spec.scenario) &&
-      fields.next_string(row.spec.algorithm) &&
-      fields.next_int(row.spec.n) && fields.next_int(row.spec.r) &&
-      fields.next_double(row.spec.epsilon) &&
-      fields.next_bool(row.spec.epsilon_used) &&
-      fields.next_int(row.spec.seed) &&
-      fields.next_string(row.spec.weighting) &&
-      fields.next_bool(row.spec.weights_used) && fields.next_int(status) &&
-      fields.next_string(row.error) && fields.next_int(row.base_edges) &&
-      fields.next_int(row.comm_power) && fields.next_int(row.comm_edges) &&
-      fields.next_int(row.target_edges) &&
-      fields.next_int(row.solution_size) &&
-      fields.next_int(row.solution_weight) &&
-      fields.next_bool(row.feasible) && fields.next_bool(row.exact) &&
-      fields.next_int(row.rounds) && fields.next_int(row.messages) &&
-      fields.next_int(row.total_bits) && fields.next_int(baseline) &&
-      fields.next_int(row.baseline_size) && fields.next_double(row.ratio) &&
-      fields.next_int(weight_baseline) &&
-      fields.next_int(row.baseline_weight) &&
-      fields.next_double(row.ratio_weight) &&
-      fields.next_int(row.msgs_dropped) &&
-      fields.next_int(row.msgs_corrupted) &&
-      fields.next_int(row.nodes_crashed) &&
-      fields.next_int(row.rounds_survived) &&
-      fields.next_double(row.wall_ms) && fields.next_string(row.regime) &&
-      fields.next_double(row.regime_alpha) && fields.exhausted();
-  return ok && decode_status(status, row.status) &&
-         decode_baseline(baseline, row.baseline) &&
-         decode_baseline(weight_baseline, row.weight_baseline);
+  return visit_record(row, fields) && fields.exhausted();
 }
 
 std::string journal_header(const SweepSpec& spec, std::size_t total_cells,
@@ -307,11 +223,11 @@ std::string journal_header(const SweepSpec& spec, std::size_t total_cells,
   p += '\t';
   p += spec_fingerprint(spec);
   p += '\t';
-  append_int(p, spec.shard_index);
+  append_number(p, spec.shard_index);
   p += '\t';
-  append_int(p, spec.shard_count);
+  append_number(p, spec.shard_count);
   p += '\t';
-  append_int(p, total_cells);
+  append_number(p, total_cells);
   if (!mode.empty()) {
     p += '\t';
     append_escaped(p, mode);
@@ -321,9 +237,9 @@ std::string journal_header(const SweepSpec& spec, std::size_t total_cells,
 
 std::string journal_path(const std::string& dir, const SweepSpec& spec) {
   std::string name = "journal-";
-  append_int(name, spec.shard_index);
+  append_number(name, spec.shard_index);
   name += "-of-";
-  append_int(name, spec.shard_count);
+  append_number(name, spec.shard_count);
   name += ".pgj";
   return (std::filesystem::path(dir) / name).string();
 }

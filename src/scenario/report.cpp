@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
+#include <utility>
+#include <variant>
 
 #include "util/hash.hpp"
 
@@ -12,49 +15,158 @@ namespace pg::scenario {
 
 namespace {
 
-/// std::to_chars-based double formatting: locale-independent by the
-/// standard's guarantee, so the emitted bytes never depend on the host
-/// environment (printf's %g would honor LC_NUMERIC's decimal point).
-std::string fmt_double(double value, std::chars_format format,
-                       int precision) {
+// ---------------------------------------------------------- row schema ---
+
+/// A fixed-point number with `precision` fractional digits.
+struct Fixed {
+  double value;
+  int precision;
+};
+
+/// One typed report value: null, integer, bool, fixed, general (%g-style)
+/// double, or string.
+using Value = std::variant<std::monostate, std::int64_t, std::uint64_t, bool,
+                           Fixed, double, std::string_view>;
+constexpr Value kNull{};
+
+/// Optional column blocks, as bits of a writer's row shape.  Core columns
+/// are always present.
+enum Block : unsigned {
+  kCore = 0,
+  kClassify = 1,
+  kCertify = 2,
+  kFaults = 4,
+  kTiming = 8,
+};
+constexpr unsigned kAllBlocks = kClassify | kCertify | kFaults | kTiming;
+
+/// Departures from the per-kind rules, each stated on its one column.
+enum class Quirk {
+  kNone,
+  kYesNo,        // CSV prints a bool as yes/no instead of 1/0
+  kFailureOnly,  // JSON omits the column on status=ok rows
+};
+
+using Row = const CellResult&;
+
+Value fixed(double value, int precision) { return Fixed{value, precision}; }
+
+// Null rules: a column's value is null on rows where its rule is false.
+bool uses_epsilon(Row c) { return c.spec.epsilon_used; }
+bool uses_weights(Row c) { return c.spec.weights_used; }
+bool has_baseline(Row c) { return c.baseline != BaselineKind::kNone; }
+bool has_weighted(Row c) { return c.weight_baseline != BaselineKind::kNone; }
+// Rows that never built a topology (failed/missing before the group
+// opened) have no regime; the classification itself is a pure function of
+// the topology, so the bytes stay deterministic.
+bool classified(Row c) { return !c.regime.empty(); }
+// Only ok rows pass the independent re-check and only unverified rows
+// failed it; failed/timeout/missing rows never reached it.
+bool checked(Row c) {
+  return c.status == CellStatus::kOk || c.status == CellStatus::kUnverified;
+}
+
+struct Column {
+  std::string_view name;
+  Block block;
+  Value (*get)(Row);
+  bool (*applies)(Row) = nullptr;  // the null rule; nullptr: never null
+  Quirk quirk = Quirk::kNone;
+};
+
+/// Every report column, in CSV order.  The CSV header and rows, the JSON
+/// rows, the --allow-partial placeholders and both mergers' row-shape
+/// detection all read this table.  Blocks are opt-in so default reports
+/// keep their historic bytes.
+constexpr Column kColumns[] = {
+    {"cell_index", kCore, [](Row c) { return Value{c.cell_index}; }},
+    {"scenario", kCore, [](Row c) { return Value{c.spec.scenario}; }},
+    {"algorithm", kCore, [](Row c) { return Value{c.spec.algorithm}; }},
+    {"n", kCore, [](Row c) { return Value{c.spec.n}; }},
+    {"r", kCore, [](Row c) { return Value{c.spec.r}; }},
+    {"epsilon", kCore, [](Row c) { return Value{c.spec.epsilon}; },
+     uses_epsilon},
+    {"weighting", kCore, [](Row c) { return Value{c.spec.weighting}; },
+     uses_weights},
+    {"seed", kCore, [](Row c) { return Value{c.spec.seed}; }},
+    {"status", kCore, [](Row c) { return Value{cell_status_name(c.status)}; }},
+    {"base_edges", kCore, [](Row c) { return Value{c.base_edges}; }},
+    {"comm_power", kCore, [](Row c) { return Value{c.comm_power}; }},
+    {"comm_edges", kCore, [](Row c) { return Value{c.comm_edges}; }},
+    {"target_edges", kCore, [](Row c) { return Value{c.target_edges}; }},
+    {"solution_size", kCore, [](Row c) { return Value{c.solution_size}; }},
+    {"solution_weight", kCore, [](Row c) { return Value{c.solution_weight}; }},
+    {"feasible", kCore, [](Row c) { return Value{c.feasible}; }},
+    {"exact", kCore, [](Row c) { return Value{c.exact}; }},
+    {"rounds", kCore, [](Row c) { return Value{c.rounds}; }},
+    {"messages", kCore, [](Row c) { return Value{c.messages}; }},
+    {"total_bits", kCore, [](Row c) { return Value{c.total_bits}; }},
+    {"baseline", kCore,
+     [](Row c) { return Value{baseline_kind_name(c.baseline)}; }},
+    {"baseline_size", kCore, [](Row c) { return Value{c.baseline_size}; }},
+    {"ratio", kCore, [](Row c) { return fixed(c.ratio, 4); }, has_baseline},
+    // The weighted oracle gets its own kind/value columns: it succeeds or
+    // downgrades independently of the size oracle, and a ratio_weight
+    // without them would read as exact-relative when the weighted solve
+    // actually fell back to greedy.
+    {"weight_baseline", kCore,
+     [](Row c) { return Value{baseline_kind_name(c.weight_baseline)}; }},
+    {"baseline_weight", kCore, [](Row c) { return Value{c.baseline_weight}; }},
+    {"ratio_weight", kCore, [](Row c) { return fixed(c.ratio_weight, 4); },
+     has_weighted},
+    {"regime", kClassify, [](Row c) { return Value{c.regime}; }, classified},
+    {"regime_alpha", kClassify, [](Row c) { return fixed(c.regime_alpha, 3); },
+     classified},
+    {"certified", kCertify,
+     [](Row c) { return Value{c.status == CellStatus::kOk}; }, checked,
+     Quirk::kYesNo},
+    {"msgs_dropped", kFaults, [](Row c) { return Value{c.msgs_dropped}; }},
+    {"msgs_corrupted", kFaults, [](Row c) { return Value{c.msgs_corrupted}; }},
+    {"nodes_crashed", kFaults, [](Row c) { return Value{c.nodes_crashed}; }},
+    {"rounds_survived", kFaults,
+     [](Row c) { return Value{c.rounds_survived}; }},
+    {"wall_ms", kTiming, [](Row c) { return fixed(c.wall_ms, 3); }},
+    {"error", kCore, [](Row c) { return Value{c.error}; }, nullptr,
+     Quirk::kFailureOnly},
+};
+
+/// The optional blocks as JSON shard-stamp mode keys, in stamp order.
+/// timing is always stamped (true or false); the later modes only when
+/// set, so reports written before they existed keep their bytes.
+constexpr std::pair<Block, std::string_view> kStampModes[] = {
+    {kTiming, "timing"},
+    {kCertify, "certify"},
+    {kFaults, "faults"},
+    {kClassify, "classify"},
+};
+
+unsigned row_blocks(bool timing, bool certify, bool faults, bool classify) {
+  return (timing ? kTiming : 0u) | (certify ? kCertify : 0u) |
+         (faults ? kFaults : 0u) | (classify ? kClassify : 0u);
+}
+
+bool carries(const Column& column, unsigned blocks) {
+  return column.block == kCore || (blocks & column.block) != 0;
+}
+
+// ------------------------------------------------------------- rendering ---
+
+/// std::to_chars is locale-independent by the standard's guarantee, so the
+/// bytes never depend on the host: printf's %g would honor LC_NUMERIC, and
+/// operator<< on an integer honors the stream's imbued locale (under
+/// de_DE 100000 renders as "100.000", which corrupts the CSV column count
+/// and breaks the shard-merge byte-equality guarantee).  Every number a
+/// report emits goes through here.
+template <typename... Format>
+void append_chars(std::string& out, Format... format) {
   char buffer[64];
-  const auto [ptr, ec] = std::to_chars(buffer, buffer + sizeof(buffer),
-                                       value, format, precision);
-  return std::string(buffer, ec == std::errc{} ? ptr : buffer);
-}
-
-/// Matches printf's %g: 6 significant digits, trailing zeros trimmed.
-std::string fmt_general(double value) {
-  return fmt_double(value, std::chars_format::general, 6);
-}
-
-std::string fmt_fixed(double value, int precision) {
-  return fmt_double(value, std::chars_format::fixed, precision);
-}
-
-/// Locale-independent integer formatting.  Streaming an integer through
-/// operator<< honors the stream's imbued locale: under a grouping locale
-/// (de_DE and friends) 100000 renders as "100.000", which corrupts the
-/// CSV column count and breaks the shard-merge byte-equality guarantee.
-/// Every integer a report emits goes through here instead.
-template <typename Int>
-std::string fmt_int(Int value) {
-  char buffer[32];
   const auto [ptr, ec] =
-      std::to_chars(buffer, buffer + sizeof(buffer), value);
-  return std::string(buffer, ec == std::errc{} ? ptr : buffer);
+      std::to_chars(buffer, buffer + sizeof(buffer), format...);
+  out.append(buffer, ec == std::errc{} ? ptr : buffer);
 }
 
-std::string csv_sanitize(const std::string& text) {
-  std::string out = text;
-  for (char& c : out)
-    if (c == ',' || c == '\n' || c == '\r') c = ';';
-  return out;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
+void append_json_text(std::string& out, std::string_view text) {
+  out += '"';
   for (char c : text) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -73,132 +185,138 @@ std::string json_escape(const std::string& text) {
         }
     }
   }
+  out += '"';
+}
+
+/// The one rule per value kind.  Null is "-" in CSV and null in JSON; a
+/// bool is 0/1 and false/true; a string is sanitized in CSV (',', '\n' and
+/// '\r' become ';', so no value can shift a column) and escaped and quoted
+/// in JSON; numbers print the same in both, a general double like %g.
+void append_value(std::string& out, const Value& value, bool json,
+                  Quirk quirk = Quirk::kNone) {
+  std::visit(
+      [&](const auto& v) {
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, std::monostate>) {
+          out += json ? "null" : "-";
+        } else if constexpr (std::is_same_v<T, bool>) {
+          out += json ? (v ? "true" : "false")
+                 : quirk == Quirk::kYesNo ? (v ? "yes" : "no")
+                                          : (v ? "1" : "0");
+        } else if constexpr (std::is_same_v<T, std::string_view>) {
+          if (json) return append_json_text(out, v);
+          for (char c : v) out += c == ',' || c == '\n' || c == '\r' ? ';' : c;
+        } else if constexpr (std::is_same_v<T, Fixed>) {
+          append_chars(out, v.value, std::chars_format::fixed, v.precision);
+        } else if constexpr (std::is_same_v<T, double>) {
+          append_chars(out, v, std::chars_format::general, 6);
+        } else {
+          append_chars(out, v);
+        }
+      },
+      value);
+}
+
+std::string render(const Value& value) {
+  std::string out;
+  append_value(out, value, /*json=*/false);
   return out;
 }
 
-template <typename T, typename Fn>
-void write_json_list(std::ostream& out, const std::vector<T>& values, Fn fn) {
-  out << '[';
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i) out << ',';
-    fn(values[i]);
+std::string csv_header(unsigned blocks) {
+  std::string out;
+  for (const Column& column : kColumns) {
+    if (!carries(column, blocks)) continue;
+    if (!out.empty()) out += ',';
+    out += column.name;
   }
-  out << ']';
+  return out;
+}
+
+/// One row without its trailing newline: the CSV fields, or the indented
+/// JSON cell object.
+void append_row(std::string& out, const CellResult& cell, unsigned blocks,
+                bool json) {
+  const char* separator = json ? "    {" : "";
+  for (const Column& column : kColumns) {
+    if (!carries(column, blocks) ||
+        (json && column.quirk == Quirk::kFailureOnly &&
+         cell.status == CellStatus::kOk))
+      continue;
+    out += separator;
+    separator = json ? ", " : ",";
+    if (json) {
+      out += '"';
+      out += column.name;
+      out += "\": ";
+    }
+    const bool null = column.applies && !column.applies(cell);
+    append_value(out, null ? kNull : column.get(cell), json, column.quirk);
+  }
+  if (json) out += '}';
 }
 
 /// The grid-dimension fields of "spec" — everything that determines the
 /// cell list, and therefore everything the fingerprint must cover.  Shard
 /// coordinates are appended separately by JsonWriter::begin.
-void write_spec_dims_json(std::ostream& out, const SweepSpec& spec) {
-  out << "\"scenarios\": ";
-  write_json_list(out, spec.scenarios, [&](const std::string& s) {
-    out << '"' << json_escape(s) << '"';
-  });
-  out << ", \"algorithms\": ";
-  write_json_list(out, spec.algorithms, [&](const std::string& s) {
-    out << '"' << json_escape(s) << '"';
-  });
-  out << ", \"sizes\": ";
-  write_json_list(out, spec.sizes,
-                  [&](graph::VertexId n) { out << fmt_int(n); });
-  out << ", \"powers\": ";
-  write_json_list(out, spec.powers, [&](int r) { out << fmt_int(r); });
-  out << ", \"epsilons\": ";
-  write_json_list(out, spec.epsilons,
-                  [&](double e) { out << fmt_general(e); });
-  out << ", \"weightings\": ";
-  write_json_list(out, spec.weightings, [&](const std::string& s) {
-    out << '"' << json_escape(s) << '"';
-  });
-  out << ", \"seeds\": ";
-  write_json_list(out, spec.seeds,
-                  [&](std::uint64_t s) { out << fmt_int(s); });
-  out << ", \"exact_baseline_max_n\": "
-      << fmt_int(spec.exact_baseline_max_n);
+std::string spec_dims_json(const SweepSpec& spec) {
+  std::string out;
+  const auto list = [&](std::string_view key, const auto& values) {
+    out += out.empty() ? "\"" : ", \"";
+    out += key;
+    out += "\": [";
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (i) out += ',';
+      append_value(out, Value(values[i]), /*json=*/true);
+    }
+    out += ']';
+  };
+  list("scenarios", spec.scenarios);
+  list("algorithms", spec.algorithms);
+  list("sizes", spec.sizes);
+  list("powers", spec.powers);
+  list("epsilons", spec.epsilons);
+  list("weightings", spec.weightings);
+  list("seeds", spec.seeds);
+  out += ", \"exact_baseline_max_n\": ";
+  append_value(out, spec.exact_baseline_max_n, /*json=*/true);
+  return out;
 }
+
+constexpr std::string_view kJsonSpecOpen = "{\n  \"spec\": {";
+constexpr std::string_view kJsonCellsOpen = "},\n  \"cells\": [";
+constexpr std::string_view kJsonTail = "\n  ]\n}\n";
+constexpr std::string_view kJsonShardKey = ", \"shard_index\": ";
 
 }  // namespace
 
 std::string spec_fingerprint(const SweepSpec& spec) {
-  std::ostringstream canon;
-  write_spec_dims_json(canon, spec);
   char buffer[17];
   std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(fnv1a64(canon.str())));
+                static_cast<unsigned long long>(fnv1a64(spec_dims_json(spec))));
   return std::string(buffer);
 }
 
 // ------------------------------------------------------------------- CSV ---
 
+CsvWriter::CsvWriter(std::ostream& out, bool include_timing, bool certify,
+                     bool faults, bool classify)
+    : out_(out),
+      blocks_(row_blocks(include_timing, certify, faults, classify)) {}
+
 void CsvWriter::begin(const SweepSpec& spec, std::size_t total_cells) {
   if (spec.shard_count > 1)
-    out_ << "# shard " << fmt_int(spec.shard_index) << '/'
-         << fmt_int(spec.shard_count) << " cells " << fmt_int(total_cells)
+    out_ << "# shard " << render(spec.shard_index) << '/'
+         << render(spec.shard_count) << " cells " << render(total_cells)
          << " spec " << spec_fingerprint(spec) << '\n';
-  out_ << "cell_index,scenario,algorithm,n,r,epsilon,weighting,seed,status,"
-          "base_edges,comm_power,comm_edges,target_edges,solution_size,"
-          "solution_weight,feasible,exact,rounds,messages,total_bits,"
-          "baseline,baseline_size,ratio,weight_baseline,baseline_weight,"
-          "ratio_weight";
-  if (classify_) out_ << ",regime,regime_alpha";
-  if (certify_) out_ << ",certified";
-  if (faults_)
-    out_ << ",msgs_dropped,msgs_corrupted,nodes_crashed,rounds_survived";
-  if (timing_) out_ << ",wall_ms";
-  out_ << ",error\n";
+  out_ << csv_header(blocks_) << '\n';
 }
 
 void CsvWriter::row(const CellResult& cell) {
-  const CellSpec& spec = cell.spec;
-  out_ << fmt_int(cell.cell_index) << ',' << spec.scenario << ','
-       << spec.algorithm << ',' << fmt_int(spec.n) << ',' << fmt_int(spec.r)
-       << ',' << (spec.epsilon_used ? fmt_general(spec.epsilon) : "-") << ','
-       // Canonical weighting names are comma-free by construction;
-       // sanitize anyway so a hand-built CellSpec cannot shift columns.
-       << (spec.weights_used ? csv_sanitize(spec.weighting) : "-") << ','
-       << fmt_int(spec.seed) << ',' << cell_status_name(cell.status) << ','
-       << fmt_int(cell.base_edges) << ',' << fmt_int(cell.comm_power) << ','
-       << fmt_int(cell.comm_edges) << ',' << fmt_int(cell.target_edges)
-       << ',' << fmt_int(cell.solution_size) << ','
-       << fmt_int(cell.solution_weight) << ',' << (cell.feasible ? '1' : '0')
-       << ',' << (cell.exact ? '1' : '0') << ',' << fmt_int(cell.rounds)
-       << ',' << fmt_int(cell.messages) << ',' << fmt_int(cell.total_bits)
-       << ',' << baseline_kind_name(cell.baseline) << ','
-       << fmt_int(cell.baseline_size) << ','
-       << (cell.baseline == BaselineKind::kNone ? "-"
-                                                : fmt_fixed(cell.ratio, 4))
-       // The weighted oracle gets its own kind/value columns: it succeeds
-       // or downgrades independently of the size oracle, and a
-       // ratio_weight without them would read as exact-relative when the
-       // weighted solve actually fell back to greedy.
-       << ',' << baseline_kind_name(cell.weight_baseline) << ','
-       << fmt_int(cell.baseline_weight) << ','
-       << (cell.weight_baseline == BaselineKind::kNone
-               ? "-"
-               : fmt_fixed(cell.ratio_weight, 4));
-  // "-" on rows that never built a topology (failed/missing before the
-  // group opened); the classification itself is a pure function of the
-  // topology, so the bytes stay deterministic.
-  if (classify_) {
-    if (cell.regime.empty())
-      out_ << ",-,-";
-    else
-      out_ << ',' << csv_sanitize(cell.regime) << ','
-           << fmt_fixed(cell.regime_alpha, 3);
-  }
-  // "yes" only for rows that passed the independent re-check, "no" for
-  // rows it demoted; failed/timeout/missing rows never reached it.
-  if (certify_)
-    out_ << ','
-         << (cell.status == CellStatus::kOk
-                 ? "yes"
-                 : cell.status == CellStatus::kUnverified ? "no" : "-");
-  if (faults_)
-    out_ << ',' << fmt_int(cell.msgs_dropped) << ','
-         << fmt_int(cell.msgs_corrupted) << ',' << fmt_int(cell.nodes_crashed)
-         << ',' << fmt_int(cell.rounds_survived);
-  if (timing_) out_ << ',' << fmt_fixed(cell.wall_ms, 3);
-  out_ << ',' << csv_sanitize(cell.error) << '\n';
+  buffer_.clear();
+  append_row(buffer_, cell, blocks_, /*json=*/false);
+  buffer_ += '\n';
+  out_ << buffer_;
 }
 
 void write_csv(std::ostream& out, const SweepResult& result,
@@ -211,99 +329,37 @@ void write_csv(std::ostream& out, const SweepResult& result,
 
 // ------------------------------------------------------------------ JSON ---
 
+JsonWriter::JsonWriter(std::ostream& out, bool include_timing, bool certify,
+                       bool faults, bool classify)
+    : out_(out),
+      blocks_(row_blocks(include_timing, certify, faults, classify)) {}
+
 void JsonWriter::begin(const SweepSpec& spec, std::size_t total_cells) {
-  out_ << "{\n  \"spec\": {";
-  write_spec_dims_json(out_, spec);
+  out_ << kJsonSpecOpen << spec_dims_json(spec);
   if (spec.shard_count > 1) {
-    out_ << ", \"shard_index\": " << fmt_int(spec.shard_index)
-         << ", \"shard_count\": " << fmt_int(spec.shard_count)
-         << ", \"total_cells\": " << fmt_int(total_cells) << ", \"timing\": "
-         << (timing_ ? "true" : "false");
-    // Stamped only when set, so reports written before these modes
-    // existed keep their bytes; the merger folds them into the shard
-    // identity either way.
-    if (certify_) out_ << ", \"certify\": true";
-    if (faults_) out_ << ", \"faults\": true";
-    if (classify_) out_ << ", \"classify\": true";
+    out_ << kJsonShardKey << render(spec.shard_index)
+         << ", \"shard_count\": " << render(spec.shard_count)
+         << ", \"total_cells\": " << render(total_cells);
+    for (const auto& [block, key] : kStampModes)
+      if ((blocks_ & block) != 0 || block == kTiming)
+        out_ << ", \"" << key << ((blocks_ & block) ? "\": true" : "\": false");
     out_ << ", \"spec_fingerprint\": \"" << spec_fingerprint(spec) << '"';
   }
-  out_ << "},\n  \"cells\": [";
+  out_ << kJsonCellsOpen;
   first_row_ = true;
 }
 
 void JsonWriter::row(const CellResult& cell) {
-  out_ << (first_row_ ? "\n" : ",\n");
+  buffer_ = first_row_ ? "\n" : ",\n";
   first_row_ = false;
-  const CellSpec& cs = cell.spec;
-  out_ << "    {\"cell_index\": " << fmt_int(cell.cell_index)
-       << ", \"scenario\": \"" << json_escape(cs.scenario)
-       << "\", \"algorithm\": \"" << json_escape(cs.algorithm)
-       << "\", \"n\": " << fmt_int(cs.n) << ", \"r\": " << fmt_int(cs.r)
-       << ", \"epsilon\": ";
-  if (cs.epsilon_used)
-    out_ << fmt_general(cs.epsilon);
-  else
-    out_ << "null";
-  out_ << ", \"weighting\": ";
-  if (cs.weights_used)
-    out_ << '"' << json_escape(cs.weighting) << '"';
-  else
-    out_ << "null";
-  out_ << ", \"seed\": " << fmt_int(cs.seed) << ", \"status\": \""
-       << cell_status_name(cell.status) << "\", \"base_edges\": "
-       << fmt_int(cell.base_edges) << ", \"comm_power\": "
-       << fmt_int(cell.comm_power) << ", \"comm_edges\": "
-       << fmt_int(cell.comm_edges) << ", \"target_edges\": "
-       << fmt_int(cell.target_edges) << ", \"solution_size\": "
-       << fmt_int(cell.solution_size) << ", \"solution_weight\": "
-       << fmt_int(cell.solution_weight) << ", \"feasible\": "
-       << (cell.feasible ? "true" : "false")
-       << ", \"exact\": " << (cell.exact ? "true" : "false")
-       << ", \"rounds\": " << fmt_int(cell.rounds) << ", \"messages\": "
-       << fmt_int(cell.messages) << ", \"total_bits\": "
-       << fmt_int(cell.total_bits) << ", \"baseline\": \""
-       << baseline_kind_name(cell.baseline) << "\", \"baseline_size\": "
-       << fmt_int(cell.baseline_size) << ", \"ratio\": ";
-  if (cell.baseline == BaselineKind::kNone)
-    out_ << "null";
-  else
-    out_ << fmt_fixed(cell.ratio, 4);
-  out_ << ", \"weight_baseline\": \""
-       << baseline_kind_name(cell.weight_baseline)
-       << "\", \"baseline_weight\": " << fmt_int(cell.baseline_weight)
-       << ", \"ratio_weight\": ";
-  if (cell.weight_baseline == BaselineKind::kNone)
-    out_ << "null";
-  else
-    out_ << fmt_fixed(cell.ratio_weight, 4);
-  if (classify_) {
-    if (cell.regime.empty())
-      out_ << ", \"regime\": null, \"regime_alpha\": null";
-    else
-      out_ << ", \"regime\": \"" << json_escape(cell.regime)
-           << "\", \"regime_alpha\": " << fmt_fixed(cell.regime_alpha, 3);
-  }
-  if (certify_)
-    out_ << ", \"certified\": "
-         << (cell.status == CellStatus::kOk
-                 ? "true"
-                 : cell.status == CellStatus::kUnverified ? "false" : "null");
-  if (faults_)
-    out_ << ", \"msgs_dropped\": " << fmt_int(cell.msgs_dropped)
-         << ", \"msgs_corrupted\": " << fmt_int(cell.msgs_corrupted)
-         << ", \"nodes_crashed\": " << fmt_int(cell.nodes_crashed)
-         << ", \"rounds_survived\": " << fmt_int(cell.rounds_survived);
-  if (timing_)
-    out_ << ", \"wall_ms\": " << fmt_fixed(cell.wall_ms, 3);
-  if (cell.status != CellStatus::kOk)
-    out_ << ", \"error\": \"" << json_escape(cell.error) << '"';
-  out_ << '}';
+  append_row(buffer_, cell, blocks_, /*json=*/true);
+  out_ << buffer_;
 }
 
 void JsonWriter::end(double peak_rss_mb) {
   out_ << "\n  ]";
-  if (timing_ && peak_rss_mb >= 0.0)
-    out_ << ",\n  \"meta\": {\"peak_rss_mb\": " << fmt_fixed(peak_rss_mb, 1)
+  if ((blocks_ & kTiming) && peak_rss_mb >= 0.0)
+    out_ << ",\n  \"meta\": {\"peak_rss_mb\": " << render(Fixed{peak_rss_mb, 1})
          << '}';
   out_ << "\n}\n";
 }
@@ -350,9 +406,8 @@ struct ShardStamp {
   int index = 0;
   int count = 0;
   std::uint64_t total_cells = 0;
-  // The fingerprint plus any row-shape modifiers (the JSON merger appends
-  // the timing flag; the CSV merger covers timing via its header check).
   std::string fingerprint;
+  unsigned blocks = 0;  // the optional column blocks the rows carry
 };
 
 /// Bounds-checked narrowing for stamp fields parsed from untrusted files:
@@ -373,7 +428,7 @@ struct ShardRows {
 };
 
 /// The placeholder row `--allow-partial` synthesizes for a grid cell no
-/// surviving shard report covered.  Rendered through the real writers so
+/// surviving shard report covered.  Rendered through the column table so
 /// its bytes track the row format exactly.
 CellResult missing_cell(std::uint64_t index) {
   CellResult cell;
@@ -394,20 +449,20 @@ CellResult missing_cell(std::uint64_t index) {
 /// complete partition (same spec, same shard count, every shard exactly
 /// once) and that the combined rows cover cell indices 0..total-1.
 /// Returns all rows sorted by cell index.  With `allow_partial`, missing
-/// shards and uncovered cells are filled via `make_missing_row` instead
-/// of failing; duplicates and spec disagreements still fail.
+/// shards and uncovered cells are filled with `missing_cell` rows (CSV or
+/// JSON) instead of failing; duplicates and spec disagreements still fail.
 std::vector<std::pair<std::uint64_t, std::string>> validate_and_sort(
-    std::vector<ShardRows>&& shards, bool allow_partial,
-    const std::function<std::string(std::uint64_t)>& make_missing_row) {
+    std::vector<ShardRows>&& shards, bool allow_partial, bool json) {
   if (shards.empty()) merge_fail("no shard reports given");
   const ShardStamp& head = shards.front().stamp;
   std::vector<bool> seen(static_cast<std::size_t>(head.count), false);
   std::vector<std::pair<std::uint64_t, std::string>> rows;
   for (const ShardRows& shard : shards) {
     const ShardStamp& s = shard.stamp;
+    // Rows of different blocks would make a ragged report.
     if (s.count != head.count || s.total_cells != head.total_cells ||
-        s.fingerprint != head.fingerprint)
-      merge_fail("shard reports disagree on the sweep spec");
+        s.fingerprint != head.fingerprint || s.blocks != head.blocks)
+      merge_fail("shard reports disagree on the sweep spec or its columns");
     if (s.index < 1 || s.index > s.count)
       merge_fail("shard index " + std::to_string(s.index) +
                  " out of range for " + std::to_string(s.count) + " shards");
@@ -454,7 +509,9 @@ std::vector<std::pair<std::uint64_t, std::string>> validate_and_sort(
         merge_fail("rows do not cover the grid: cell " + std::to_string(t) +
                    " duplicated");
     } else {
-      full.emplace_back(t, make_missing_row(t));
+      std::string row;
+      append_row(row, missing_cell(t), head.blocks, json);
+      full.emplace_back(t, std::move(row));
     }
   }
   if (at != rows.size())
@@ -465,6 +522,13 @@ std::vector<std::pair<std::uint64_t, std::string>> validate_and_sort(
 }
 
 constexpr std::string_view kCsvStampPrefix = "# shard ";
+
+/// The block mask whose rendered header is exactly `header`.
+unsigned csv_blocks(const std::string& header) {
+  for (unsigned blocks = 0; blocks <= kAllBlocks; ++blocks)
+    if (csv_header(blocks) == header) return blocks;
+  merge_fail("unrecognized CSV header");
+}
 
 ShardStamp parse_csv_stamp(std::string_view line) {
   // "# shard I/K cells N spec H"
@@ -507,10 +571,8 @@ std::string merge_csv(const std::vector<std::string>& shard_reports,
     if (!std::getline(in, line)) merge_fail("empty shard report");
     shard.stamp = parse_csv_stamp(line);
     if (!std::getline(in, line)) merge_fail("shard report has no CSV header");
-    if (header.empty())
-      header = line;
-    else if (line != header)
-      merge_fail("shard reports disagree on the CSV header");
+    shard.stamp.blocks = csv_blocks(line);
+    header = line;
     while (std::getline(in, line)) {
       if (line.empty()) continue;
       const auto comma = line.find(',');
@@ -523,21 +585,8 @@ std::string merge_csv(const std::vector<std::string>& shard_reports,
     shards.push_back(std::move(shard));
   }
 
-  // The shards' shared header says which optional columns rows carry;
-  // synthesized placeholders must match its shape.
-  const bool timing = header.find(",wall_ms") != std::string::npos;
-  const bool certify = header.find(",certified") != std::string::npos;
-  const bool faults = header.find(",msgs_dropped") != std::string::npos;
-  const bool classify = header.find(",regime") != std::string::npos;
-  const auto rows = validate_and_sort(
-      std::move(shards), allow_partial, [&](std::uint64_t index) {
-        std::ostringstream row;
-        CsvWriter writer(row, timing, certify, faults, classify);
-        writer.row(missing_cell(index));
-        std::string text = row.str();
-        if (!text.empty() && text.back() == '\n') text.pop_back();
-        return text;
-      });
+  const auto rows =
+      validate_and_sort(std::move(shards), allow_partial, /*json=*/false);
   std::string out = header + '\n';
   for (const auto& [index, line] : rows) {
     out += line;
@@ -547,11 +596,6 @@ std::string merge_csv(const std::vector<std::string>& shard_reports,
 }
 
 namespace {
-
-constexpr std::string_view kJsonSpecOpen = "{\n  \"spec\": {";
-constexpr std::string_view kJsonCellsOpen = "},\n  \"cells\": [";
-constexpr std::string_view kJsonTail = "\n  ]\n}\n";
-constexpr std::string_view kJsonShardKey = ", \"shard_index\": ";
 
 /// Extracts `"key": <digits>` from a spec fragment.
 std::uint64_t json_field_u64(std::string_view text, std::string_view key) {
@@ -570,10 +614,6 @@ std::string merge_json(const std::vector<std::string>& shard_reports,
                        bool allow_partial) {
   std::vector<ShardRows> shards;
   std::string spec_dims;  // the spec body minus the shard stamp fields
-  bool merged_timing = false;
-  bool merged_certify = false;
-  bool merged_faults = false;
-  bool merged_classify = false;
   for (const std::string& report : shard_reports) {
     if (report.substr(0, kJsonSpecOpen.size()) != kJsonSpecOpen)
       merge_fail("input is not a sweep JSON report");
@@ -610,30 +650,15 @@ std::string merge_json(const std::vector<std::string>& shard_reports,
       merge_fail("malformed spec_fingerprint");
     shard.stamp.fingerprint =
         std::string(stamp_text.substr(fp_from, fp_to - fp_from));
-    // Shards written with different --timing settings have differently
-    // shaped rows; fold the flag into the identity so they refuse to merge.
-    const bool timing =
-        stamp_text.find("\"timing\": true") != std::string_view::npos;
-    if (!timing &&
-        stamp_text.find("\"timing\": false") == std::string_view::npos)
-      merge_fail("shard stamp lacks \"timing\"");
-    shard.stamp.fingerprint += timing ? "+t" : "";
-    merged_timing = timing;  // all shards agree (the fingerprint folds it)
-    // Certify/faults reshape rows the same way timing does, so they fold
-    // into the shard identity too: shards written under different modes
-    // refuse to merge instead of producing a ragged cells array.
-    const bool certify =
-        stamp_text.find("\"certify\": true") != std::string_view::npos;
-    const bool faults =
-        stamp_text.find("\"faults\": true") != std::string_view::npos;
-    const bool classify =
-        stamp_text.find("\"classify\": true") != std::string_view::npos;
-    shard.stamp.fingerprint += certify ? "+c" : "";
-    shard.stamp.fingerprint += faults ? "+f" : "";
-    shard.stamp.fingerprint += classify ? "+g" : "";
-    merged_certify = certify;
-    merged_faults = faults;
-    merged_classify = classify;
+    for (const auto& [block, key] : kStampModes) {
+      std::string stamped = "\"";
+      stamped.append(key).append("\": ");
+      if (stamp_text.find(stamped + "true") != std::string_view::npos)
+        shard.stamp.blocks |= block;
+      else if (block == kTiming &&
+               stamp_text.find(stamped + "false") == std::string_view::npos)
+        merge_fail("shard stamp lacks \"timing\"");
+    }
 
     // The cells array closes with "\n  ]"; after it comes either the
     // document tail or an optional (timing-mode) ",\n  \"meta\": {…}"
@@ -671,16 +696,8 @@ std::string merge_json(const std::vector<std::string>& shard_reports,
     shards.push_back(std::move(shard));
   }
 
-  const auto rows = validate_and_sort(
-      std::move(shards), allow_partial, [&](std::uint64_t index) {
-        std::ostringstream row;
-        JsonWriter writer(row, merged_timing, merged_certify, merged_faults,
-                          merged_classify);
-        writer.row(missing_cell(index));  // leading "\n" from first_row_
-        std::string text = row.str();
-        if (!text.empty() && text.front() == '\n') text.erase(0, 1);
-        return text;
-      });
+  const auto rows =
+      validate_and_sort(std::move(shards), allow_partial, /*json=*/true);
   std::string out;
   out += kJsonSpecOpen;
   out += spec_dims;

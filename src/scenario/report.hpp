@@ -34,36 +34,19 @@ namespace pg::scenario {
 /// reports carry it so `merge` can refuse shards of different sweeps.
 std::string spec_fingerprint(const SweepSpec& spec);
 
-/// One row per cell.  Columns: cell_index,scenario,algorithm,n,r,epsilon,
-/// weighting,seed,status,base_edges,comm_power,comm_edges,target_edges,
-/// solution_size,solution_weight,feasible,exact,rounds,messages,
-/// total_bits,baseline,baseline_size,ratio,weight_baseline,
-/// baseline_weight,ratio_weight[,regime,regime_alpha][,certified]
-/// [,msgs_dropped,msgs_corrupted,nodes_crashed,rounds_survived]
-/// [,wall_ms],error.  The two oracles
-/// report their kinds separately (baseline vs weight_baseline) because
-/// they succeed or downgrade independently.
-/// The optional blocks are opt-in so default reports keep their historic
-/// bytes: `certify` adds the certified verdict column (yes for a row that
-/// survived the independent re-check, no for one demoted to unverified,
-/// "-" for rows that never reached certification), `faults` adds the
-/// adversarial-network accounting columns, `classify` adds the
-/// degree-distribution columns (regime,regime_alpha — automatic for
-/// sweeps over file:-backed scenarios, opt-in via --classify otherwise).
-/// epsilon (resp. weighting) is "-" for algorithms that ignore it; ratio
-/// and ratio_weight are "-" when the corresponding baseline was not
-/// computed; feasible/exact are 0/1; error is empty on success
-/// (commas/newlines inside messages are replaced by ';').  All numbers
-/// are formatted locale-independently (std::to_chars), so the bytes — and
-/// the shard-merge equality they guarantee — cannot depend on the host's
+/// One row per cell.  The columns, their order, their optional blocks
+/// (classify, certify, faults, timing — each opt-in so default reports
+/// keep their historic bytes) and how each value renders are defined once,
+/// by the column table `kColumns` in report.cpp.  A null value prints "-";
+/// error is the last column, empty on success.  All numbers are formatted
+/// locale-independently (std::to_chars), so the bytes — and the
+/// shard-merge equality they guarantee — cannot depend on the host's
 /// LC_NUMERIC.
 class CsvWriter {
  public:
   explicit CsvWriter(std::ostream& out, bool include_timing = false,
                      bool certify = false, bool faults = false,
-                     bool classify = false)
-      : out_(out), timing_(include_timing), certify_(certify),
-        faults_(faults), classify_(classify) {}
+                     bool classify = false);
 
   /// Shard stamp (`# shard i/k cells N spec H`, only when spec.shard_count
   /// > 1) followed by the header row.  `total_cells` is the full grid's
@@ -73,22 +56,19 @@ class CsvWriter {
 
  private:
   std::ostream& out_;
-  bool timing_;
-  bool certify_;
-  bool faults_;
-  bool classify_;
+  unsigned blocks_;     // the optional column blocks rows carry
+  std::string buffer_;  // reused for every row
 };
 
-/// {"spec": {...}, "cells": [...]} with the same fields as the CSV;
-/// epsilon/ratio are null where the CSV prints "-".  Sharded specs add
-/// shard_index/shard_count/total_cells/timing/spec_fingerprint to "spec".
+/// {"spec": {...}, "cells": [...]} with the same fields as the CSV, null
+/// where the CSV prints "-"; error appears only on rows whose status is
+/// not ok.  Sharded specs add shard_index/shard_count/total_cells/timing/
+/// spec_fingerprint (and any set certify/faults/classify mode) to "spec".
 class JsonWriter {
  public:
   explicit JsonWriter(std::ostream& out, bool include_timing = false,
                       bool certify = false, bool faults = false,
-                      bool classify = false)
-      : out_(out), timing_(include_timing), certify_(certify),
-        faults_(faults), classify_(classify) {}
+                      bool classify = false);
 
   void begin(const SweepSpec& spec, std::size_t total_cells);
   void row(const CellResult& cell);
@@ -101,10 +81,8 @@ class JsonWriter {
 
  private:
   std::ostream& out_;
-  bool timing_;
-  bool certify_;
-  bool faults_;
-  bool classify_;
+  unsigned blocks_;     // the optional column blocks rows carry
+  std::string buffer_;  // reused for every row
   bool first_row_ = true;
 };
 
@@ -119,9 +97,10 @@ std::string json_string(const SweepResult& result,
 
 /// Merges per-shard CSV reports (file *contents*, any order) back into
 /// the byte-identical single-process report.  Throws
-/// PreconditionViolation when the inputs are not shard reports, disagree
-/// on the spec (fingerprint, headers, shard count, grid size), repeat or
-/// miss a shard, or their rows do not cover the grid exactly.
+/// PreconditionViolation when the inputs are not shard reports, carry a
+/// header no writer produces, disagree on the spec (fingerprint, columns,
+/// shard count, grid size), repeat or miss a shard, or their rows do not
+/// cover the grid exactly.
 ///
 /// With `allow_partial`, missing shards and uncovered cells stop being
 /// errors: every grid cell no given report covers becomes a placeholder

@@ -142,7 +142,14 @@ CellResult sample_row() {
   row.weight_baseline = BaselineKind::kGreedy;
   row.baseline_weight = 80;
   row.ratio_weight = 93.0 / 80.0;
+  // Distinct non-default values, so two swapped fields cannot round-trip.
+  row.msgs_dropped = 3;
+  row.msgs_corrupted = 5;
+  row.nodes_crashed = 2;
+  row.rounds_survived = 13;
   row.wall_ms = 1.875;
+  row.regime = "powerlaw";
+  row.regime_alpha = 2.375;
   return row;
 }
 
@@ -171,6 +178,25 @@ TEST(JournalRecord, RoundTripsEveryField) {
   EXPECT_EQ(back.weight_baseline, BaselineKind::kGreedy);
   EXPECT_EQ(back.ratio, row.ratio);            // shortest-round-trip exact
   EXPECT_EQ(back.wall_ms, row.wall_ms);
+  EXPECT_EQ(back.msgs_dropped, row.msgs_dropped);
+  EXPECT_EQ(back.msgs_corrupted, row.msgs_corrupted);
+  EXPECT_EQ(back.nodes_crashed, row.nodes_crashed);
+  EXPECT_EQ(back.rounds_survived, row.rounds_survived);
+  EXPECT_EQ(back.regime, row.regime);
+  EXPECT_EQ(back.regime_alpha, row.regime_alpha);
+}
+
+TEST(JournalRecord, WireFormatIsPinned) {
+  // The pgj2 bytes are frozen: journals written by older binaries must
+  // still resume, and isolate-mode children must interoperate with their
+  // parent.  A change here needs a new journal header tag.
+  EXPECT_EQ(encode_cell_record(sample_row()),
+            "C\t42\tgeo-torus\tmvc\t20\t2\t0.25\t1\t7\t"
+            "degree-proportional\t1\t1\t"
+            "tabs\\tand\\nnewlines\\\\and backslashes\\rsurvive\t"
+            "40\t2\t120\t200\t11\t93\t1\t0\t17\t450\t9001\t1\t9\t"
+            "1.2222222222222223\t2\t80\t1.1625\t3\t5\t2\t13\t1.875\t"
+            "powerlaw\t2.375\t#8bd06351431b6668");
 }
 
 TEST(JournalRecord, RejectsCorruption) {

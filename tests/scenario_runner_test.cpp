@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <locale>
+#include <regex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "scenario/report.hpp"
@@ -231,6 +233,122 @@ TEST(ReportLocale, BytesAreIndependentOfImbuedAndGlobalLocale) {
   EXPECT_EQ(poisoned_csv, clean_csv);
   EXPECT_EQ(poisoned_json, clean_json);
   EXPECT_EQ(poisoned_fingerprint, clean_fingerprint);
+}
+
+// ----------------------------------------------------------- row schema ---
+
+std::vector<std::string> csv_fields(std::string_view line) {
+  std::vector<std::string> fields(1);
+  for (char c : line) {
+    if (c == ',')
+      fields.emplace_back();
+    else
+      fields.back() += c;
+  }
+  return fields;
+}
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+/// The keys of one JSON cell object, in order.
+std::vector<std::string> json_keys(const std::string& object) {
+  static const std::regex key("\"([a-z_]+)\": ");
+  std::vector<std::string> keys;
+  for (std::sregex_iterator it(object.begin(), object.end(), key), end;
+       it != end; ++it)
+    keys.push_back((*it)[1]);
+  return keys;
+}
+
+CellResult hand_row(std::uint64_t index, CellStatus status) {
+  CellResult row;
+  row.cell_index = index;
+  row.spec.scenario = "ba";
+  row.spec.algorithm = "mvc";
+  row.spec.n = 16;
+  row.status = status;
+  if (status != CellStatus::kOk) row.error = "it broke";
+  row.baseline = BaselineKind::kExact;
+  row.regime = "powerlaw";
+  row.regime_alpha = 2.5;
+  return row;
+}
+
+TEST(ReportSchema, CsvStringsAreSanitizedSoNoValueShiftsAColumn) {
+  // Regression: scenario and algorithm were written raw, so a file: path
+  // containing a comma shifted every later column and broke merge_csv.
+  CellResult row = hand_row(0, CellStatus::kOk);
+  row.spec.scenario = "file:/tmp/a,b.pgcsr";
+  std::ostringstream out;
+  CsvWriter writer(out);
+  writer.begin(SweepSpec{}, 1);
+  writer.row(row);
+  const auto lines = lines_of(out.str());
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(csv_fields(lines[1]).size(), csv_fields(lines[0]).size());
+}
+
+TEST(ReportSchema, CsvAndJsonAgreeForEveryOptionalBlockCombination) {
+  // Shard 1 of 2 reports cells 0 and 1 of a 3-cell grid; merging it alone
+  // with allow_partial synthesizes cell 2 as a status=missing placeholder.
+  SweepSpec spec;
+  spec.shard_index = 1;
+  spec.shard_count = 2;
+  const CellResult ok = hand_row(0, CellStatus::kOk);
+  const CellResult failed = hand_row(1, CellStatus::kFailed);
+  for (int mask = 0; mask < 16; ++mask) {
+    const bool timing = mask & 1, certify = mask & 2, faults = mask & 4,
+               classify = mask & 8;
+    SCOPED_TRACE("timing/certify/faults/classify mask " +
+                 std::to_string(mask));
+    std::ostringstream csv_out, json_out;
+    CsvWriter csv(csv_out, timing, certify, faults, classify);
+    JsonWriter json(json_out, timing, certify, faults, classify);
+    csv.begin(spec, 3);
+    json.begin(spec, 3);
+    for (const CellResult* row : {&ok, &failed}) {
+      csv.row(*row);
+      json.row(*row);
+    }
+    json.end();
+
+    const auto csv_lines = lines_of(merge_csv({csv_out.str()}, true));
+    ASSERT_EQ(csv_lines.size(), 4u);
+    const std::vector<std::string> header = csv_fields(csv_lines[0]);
+    EXPECT_EQ(header.size(), 27u + (classify ? 2 : 0) + (certify ? 1 : 0) +
+                                 (faults ? 4 : 0) + (timing ? 1 : 0));
+    EXPECT_EQ(header.back(), "error");
+    for (std::size_t i = 1; i < csv_lines.size(); ++i)
+      EXPECT_EQ(csv_fields(csv_lines[i]).size(), header.size()) << i;
+
+    std::vector<std::string> cells;
+    for (const std::string& line : lines_of(merge_json({json_out.str()}, true)))
+      if (line.rfind("    {", 0) == 0) cells.push_back(line);
+    ASSERT_EQ(cells.size(), 3u);
+    const std::vector<std::string> ok_keys(header.begin(), header.end() - 1);
+    EXPECT_EQ(json_keys(cells[0]), ok_keys);  // error only when not ok
+    EXPECT_EQ(json_keys(cells[1]), header);
+    EXPECT_EQ(json_keys(cells[2]), header);   // the missing placeholder
+  }
+}
+
+TEST(ReportSchema, MergeRejectsAHeaderNoWriterProduces) {
+  SweepSpec spec;
+  spec.shard_index = 1;
+  spec.shard_count = 2;
+  std::ostringstream out;
+  CsvWriter writer(out);
+  writer.begin(spec, 1);
+  writer.row(hand_row(0, CellStatus::kOk));
+  std::string report = out.str();
+  ASSERT_NO_THROW(merge_csv({report}, true));
+  report.replace(report.find(",error"), 6, ",err");
+  EXPECT_THROW(merge_csv({report}, true), PreconditionViolation);
 }
 
 // ------------------------------------------------------------- sharding ---
