@@ -107,20 +107,43 @@ class PackedMessage {
     store(acc);
   }
 
-  /// Decodes back to the 40-byte form.  `pool` is the network's overflow
-  /// pool for the inbox generation this message was delivered in (unused
-  /// by narrow messages, which is the overwhelmingly common case).
-  Message unpack(const std::array<std::int64_t, 4>* pool) const {
+  /// Decodes into an existing `Message`, overwriting every field (those
+  /// past num_fields become 0), so the inbox decoder reuses its buffer
+  /// instead of building a fresh 40-byte value per entry.  `pool` is the
+  /// network's overflow pool for the inbox generation this message was
+  /// delivered in (unused by narrow messages, which is the overwhelmingly
+  /// common case).  Narrow 0–1 field messages — the paper's flags, ids and
+  /// single weights — decode straight-line from the words; everything else
+  /// takes `unpack_generic`, which this fast path must always agree with.
+  void unpack_into(Message& m, const std::array<std::int64_t, 4>* pool) const {
+    const std::uint32_t head = w_[0];
+    const auto nf = static_cast<std::uint8_t>((head >> 8) & 0x7);
+    if (nf > 1 || (head & kWideBit) != 0) {
+      unpack_generic(m, pool);
+      return;
+    }
+    m.kind = static_cast<std::uint8_t>(head & 0xff);
+    m.num_fields = nf;
+    // A lone field is 64 zigzag bits at payload bits 12–75.
+    const std::uint64_t z = (std::uint64_t{head} >> kPayloadShift) |
+                            (std::uint64_t{w_[1]} << (32 - kPayloadShift)) |
+                            (std::uint64_t{w_[2]} << (64 - kPayloadShift));
+    m.fields = {nf != 0 ? unzigzag(z) : 0, 0, 0, 0};
+  }
+
+  /// The general decoder: every field count, the wide form, any payload.
+  void unpack_generic(Message& m,
+                      const std::array<std::int64_t, 4>* pool) const {
     const unsigned __int128 acc = load();
-    Message m;
     m.kind = static_cast<std::uint8_t>(acc & 0xff);
     m.num_fields = static_cast<std::uint8_t>((acc >> 8) & 0x7);
+    m.fields = {};
     if ((acc & kWideBit) != 0) {
       const auto index =
           static_cast<std::uint32_t>(acc >> kPayloadShift);
       const std::array<std::int64_t, 4>& fields = pool[index];
       for (std::size_t i = 0; i < m.num_fields; ++i) m.fields[i] = fields[i];
-      return m;
+      return;
     }
     const int width = field_width(m.num_fields);
     unsigned __int128 payload = acc >> kPayloadShift;
@@ -130,15 +153,14 @@ class PackedMessage {
       m.fields[i] = unzigzag(static_cast<std::uint64_t>(payload) & mask);
       payload >>= width;
     }
-    return m;
   }
 
   /// Fault injection's structurally-safe payload corruption: flips exactly
   /// one bit chosen by `entropy` inside the narrow payload region, or — for
   /// field-less and wide messages, where payload bits are absent or alias a
   /// pool index — one kind bit.  The num_fields and wide bits are never
-  /// touched, so a corrupted message still decodes through `unpack` as a
-  /// well-formed (if wrong) Message.
+  /// touched, so a corrupted message still decodes through `unpack_into`
+  /// as a well-formed (if wrong) Message.
   void corrupt(std::uint64_t entropy) {
     unsigned __int128 acc = load();
     const int nf = static_cast<int>((acc >> 8) & 0x7);

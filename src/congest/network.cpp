@@ -269,9 +269,7 @@ void Network::rebuild() {
 
   stats_ = RoundStats{};
   last_round_messages_ = 0;
-  round_unicasts_ = 0;
   round_staged_.clear();
-  round_slots_.clear();
   round_bcasters_.clear();
 
   // A rebind is a new cell: any installed adversary dies with the old
@@ -331,7 +329,6 @@ void Network::merge_and_deliver() {
   // below lands on the same order at any thread count.
   std::int64_t messages = 0;
   std::int64_t bits = 0;
-  round_unicasts_ = 0;
   if (threads_ == 1) {
     detail::SendTally& tally = tallies_[0];
     round_staged_.swap(tally.staged);  // O(1): both roles alternate buffers
@@ -350,14 +347,10 @@ void Network::merge_and_deliver() {
       tally.clear();
     }
   }
-  round_unicasts_ = static_cast<std::int64_t>(round_staged_.size());
   std::sort(round_staged_.begin(), round_staged_.end(),
             [](const detail::StagedUnicast& a, const detail::StagedUnicast& b) {
               return a.slot < b.slot;
             });
-  round_slots_.resize(round_staged_.size());
-  for (std::size_t i = 0; i < round_staged_.size(); ++i)
-    round_slots_[i] = round_staged_[i].slot;
   stats_.messages += messages;
   stats_.total_bits += bits;
   last_round_messages_ = messages;
@@ -367,7 +360,6 @@ void Network::merge_and_deliver() {
 void Network::deliver() {
   const std::int32_t now = static_cast<std::int32_t>(stats_.rounds);
   const NodeId* adj = graph_.adjacency_array().data();
-  const std::size_t n = this->n();
   detail::PackedIncoming* arena = inbox_arena_.data();
   // Rotate the wide-message generations: entries appended while this
   // round's steps were sending become the pool the delivered inboxes
@@ -396,48 +388,80 @@ void Network::deliver() {
     ++ft.dropped;
     return true;
   };
-  auto maybe_corrupt = [&](std::uint32_t e, detail::PackedIncoming& in,
-                           detail::FaultTally& ft) {
-    if (!fault_fires(corrupt_thr, fault_seed, kFaultTagCorrupt, now, e))
+  // Appends one delivery to receiver-side slot e's inbox (anchored at
+  // `begin`, currently holding k entries) unless the adversary drops it.
+  auto put = [&](std::uint32_t e, std::uint32_t begin, std::uint32_t& k,
+                 const PackedMessage& m, detail::FaultTally& ft) {
+    if (faults_on && dropped(e, ft)) return;
+    detail::PackedIncoming& in = arena[begin + k++];
+    in.reply_slot = e - begin;
+    in.msg = m;
+    if (faults_on &&
+        fault_fires(corrupt_thr, fault_seed, kFaultTagCorrupt, now, e)) {
+      in.msg.corrupt(fault_hash(fault_seed, kFaultTagCorruptBit, now, e));
+      ++ft.corrupted;
+    }
+  };
+  // A worker's unicast cursor: the first staged unicast at or past its
+  // range's first slot.  Every sweep below visits its slots in ascending
+  // order and the staged list is sorted by slot, so the cursor only moves
+  // forward — one step per unicast slot met, no search per message.
+  auto first_unicast = [&](NodeId lo) {
+    return static_cast<std::size_t>(
+        std::lower_bound(round_staged_.begin(), round_staged_.end(),
+                         first_slot_[static_cast<std::size_t>(lo)],
+                         [](const detail::StagedUnicast& s, std::uint32_t e) {
+                           return s.slot < e;
+                         }) -
+        round_staged_.begin());
+  };
+  // Each sweep fills node v's inbox at the head of v's own slot range —
+  // disjoint regions per node, so the range-parallel runs need no
+  // coordination and write the same bytes at any worker count.
+  auto run = [&](const auto& sweep) {
+    if (threads_ == 1) {
+      sweep(0, static_cast<NodeId>(n()), fault_tallies_[0]);
       return;
-    in.msg.corrupt(fault_hash(fault_seed, kFaultTagCorruptBit, now, e));
-    ++ft.corrupted;
+    }
+    ensure_pool();
+    pool_->run([this, &sweep](int t) {
+      sweep(bounds_[static_cast<std::size_t>(t)],
+            bounds_[static_cast<std::size_t>(t) + 1],
+            fault_tallies_[static_cast<std::size_t>(t)]);
+    });
   };
-  // Payload lookup for a slot known to hold a current-round unicast: the
-  // staged list is sorted by (unique) slot, so the search always lands.
-  auto unicast_msg = [&](std::uint32_t e) -> const PackedMessage& {
-    const auto it = std::lower_bound(
-        round_staged_.begin(), round_staged_.end(), e,
-        [](const detail::StagedUnicast& s, std::uint32_t slot) {
-          return s.slot < slot;
-        });
-    return it->msg;
-  };
-  // The deliverable slots are exactly the recorded unicast slots plus every
+  // The deliverable slots are exactly the staged unicast slots plus every
   // broadcaster's incident reverse slots; when that set is small relative
   // to 2m, gather it directly instead of sweeping every slot.
-  std::size_t candidates = round_slots_.size();
+  std::size_t candidates = round_staged_.size();
   for (NodeId b : round_bcasters_) {
     const auto u = static_cast<std::size_t>(b);
     candidates += first_slot_[u + 1] - first_slot_[u];
   }
-  // Each branch fills node v's inbox at the head of v's own slot range —
-  // disjoint regions per node, so the range-parallel sweeps below need no
-  // coordination and write the same bytes at any worker count.
   if (4 * candidates <= reverse_slot_.size()) {
-    // Sparse round: materialize the slot set and sort it.  Ascending slot
-    // order yields both receiver order and per-receiver sender order,
-    // since each receiver owns a contiguous slot range sorted by sender.
+    // Sparse round: materialize the slot set in ascending order, which is
+    // both receiver order and per-receiver sender order (each receiver
+    // owns a contiguous slot range sorted by sender).  The unicast slots
+    // arrive sorted, so only the broadcasters' fan-out is sorted before
+    // the two runs are merged.
+    round_slots_.clear();
+    for (const detail::StagedUnicast& s : round_staged_)
+      round_slots_.push_back(s.slot);
+    const auto fan_out = static_cast<std::ptrdiff_t>(round_slots_.size());
     for (NodeId b : round_bcasters_) {
       const auto u = static_cast<std::size_t>(b);
       for (std::uint32_t e = first_slot_[u]; e < first_slot_[u + 1]; ++e)
         round_slots_.push_back(reverse_slot_[e]);
     }
-    std::sort(round_slots_.begin(), round_slots_.end());
-    auto sweep = [&](NodeId lo, NodeId hi, detail::FaultTally& ft) {
-      auto it = std::lower_bound(round_slots_.begin(), round_slots_.end(),
-                                 first_slot_[static_cast<std::size_t>(lo)]);
-      std::size_t idx = static_cast<std::size_t>(it - round_slots_.begin());
+    std::sort(round_slots_.begin() + fan_out, round_slots_.end());
+    std::inplace_merge(round_slots_.begin(), round_slots_.begin() + fan_out,
+                       round_slots_.end());
+    run([&](NodeId lo, NodeId hi, detail::FaultTally& ft) {
+      std::size_t idx = static_cast<std::size_t>(
+          std::lower_bound(round_slots_.begin(), round_slots_.end(),
+                           first_slot_[static_cast<std::size_t>(lo)]) -
+          round_slots_.begin());
+      std::size_t uni = first_unicast(lo);
       for (auto v = static_cast<std::size_t>(lo);
            v < static_cast<std::size_t>(hi); ++v) {
         const std::uint32_t begin = first_slot_[v];
@@ -445,106 +469,57 @@ void Network::deliver() {
         std::uint32_t k = 0;
         while (idx < round_slots_.size() && round_slots_[idx] < end) {
           const std::uint32_t e = round_slots_[idx++];
-          if (faults_on && dropped(e, ft)) continue;
-          detail::PackedIncoming& in = arena[begin + k];
-          const NodeId u = adj[e];
-          in.reply_slot = e - begin;
-          in.msg = bcast_round_[static_cast<std::size_t>(u)] == now
-                       ? bcast_msg_[static_cast<std::size_t>(u)]
-                       : unicast_msg(e);
-          if (faults_on) maybe_corrupt(e, in, ft);
-          ++k;
+          const auto u = static_cast<std::size_t>(adj[e]);
+          put(e, begin, k,
+              bcast_round_[u] == now ? bcast_msg_[u]
+                                     : round_staged_[uni++].msg,
+              ft);
         }
         inbox_count_[v] = k;
       }
-    };
-    if (threads_ == 1) {
-      sweep(0, static_cast<NodeId>(n), fault_tallies_[0]);
-    } else {
-      ensure_pool();
-      pool_->run([this, &sweep](int t) {
-        sweep(bounds_[static_cast<std::size_t>(t)],
-              bounds_[static_cast<std::size_t>(t) + 1],
-              fault_tallies_[static_cast<std::size_t>(t)]);
-      });
-    }
-  } else if (round_unicasts_ == 0) {
+    });
+  } else if (round_staged_.empty()) {
     // Broadcast-heavy round (the common case): gather straight from the
     // per-sender buffers; the unicast slots were never touched.
-    auto sweep = [&](NodeId lo, NodeId hi, detail::FaultTally& ft) {
+    run([&](NodeId lo, NodeId hi, detail::FaultTally& ft) {
       for (auto v = static_cast<std::size_t>(lo);
            v < static_cast<std::size_t>(hi); ++v) {
         const std::uint32_t begin = first_slot_[v];
         const std::uint32_t end = first_slot_[v + 1];
         std::uint32_t k = 0;
         for (std::uint32_t e = begin; e < end; ++e) {
-          const NodeId u = adj[e];
-          if (bcast_round_[static_cast<std::size_t>(u)] == now) {
-            if (faults_on && dropped(e, ft)) continue;
-            detail::PackedIncoming& in = arena[begin + k];
-            in.reply_slot = e - begin;
-            in.msg = bcast_msg_[static_cast<std::size_t>(u)];
-            if (faults_on) maybe_corrupt(e, in, ft);
-            ++k;
-          }
+          const auto u = static_cast<std::size_t>(adj[e]);
+          if (bcast_round_[u] == now) put(e, begin, k, bcast_msg_[u], ft);
         }
         inbox_count_[v] = k;
       }
-    };
-    if (threads_ == 1) {
-      sweep(0, static_cast<NodeId>(n), fault_tallies_[0]);
-    } else {
-      ensure_pool();
-      pool_->run([this, &sweep](int t) {
-        sweep(bounds_[static_cast<std::size_t>(t)],
-              bounds_[static_cast<std::size_t>(t) + 1],
-              fault_tallies_[static_cast<std::size_t>(t)]);
-      });
-    }
+    });
   } else {
-    auto sweep = [&](NodeId lo, NodeId hi, detail::FaultTally& ft) {
+    // Dense mixed round: sweep every slot; the unicast-stamped ones are
+    // met in staged order, so they consume the cursor one by one.
+    run([&](NodeId lo, NodeId hi, detail::FaultTally& ft) {
+      std::size_t uni = first_unicast(lo);
       for (auto v = static_cast<std::size_t>(lo);
            v < static_cast<std::size_t>(hi); ++v) {
         const std::uint32_t begin = first_slot_[v];
         const std::uint32_t end = first_slot_[v + 1];
         std::uint32_t k = 0;
         for (std::uint32_t e = begin; e < end; ++e) {
-          const NodeId u = adj[e];
-          const PackedMessage* m = nullptr;
-          if (bcast_round_[static_cast<std::size_t>(u)] == now)
-            m = &bcast_msg_[static_cast<std::size_t>(u)];
+          const auto u = static_cast<std::size_t>(adj[e]);
+          if (bcast_round_[u] == now)
+            put(e, begin, k, bcast_msg_[u], ft);
           else if (slot_round_[e] == now)
-            m = &unicast_msg(e);
-          if (m != nullptr) {
-            if (faults_on && dropped(e, ft)) continue;
-            detail::PackedIncoming& in = arena[begin + k];
-            in.reply_slot = e - begin;
-            in.msg = *m;
-            if (faults_on) maybe_corrupt(e, in, ft);
-            ++k;
-          }
+            put(e, begin, k, round_staged_[uni++].msg, ft);
         }
         inbox_count_[v] = k;
       }
-    };
-    if (threads_ == 1) {
-      sweep(0, static_cast<NodeId>(n), fault_tallies_[0]);
-    } else {
-      ensure_pool();
-      pool_->run([this, &sweep](int t) {
-        sweep(bounds_[static_cast<std::size_t>(t)],
-              bounds_[static_cast<std::size_t>(t) + 1],
-              fault_tallies_[static_cast<std::size_t>(t)]);
-      });
-    }
+    });
   }
-  // Empty all three round lists so the serial engine's buffer swap hands a
+  // Empty the round lists so the serial engine's buffer swap hands a
   // clean vector back to the worker tally (and the parallel inserts start
   // from scratch); a stale entry here would replay an old unicast.
   round_staged_.clear();
-  round_slots_.clear();
   round_bcasters_.clear();
-  round_unicasts_ = 0;
   if (faults_enabled_) {
     // Fold the per-worker drop/corrupt counts (sums — order-free) and
     // count the completed round as survived.
@@ -561,9 +536,7 @@ void Network::deliver() {
 void Network::reset() {
   stats_ = RoundStats{};
   last_round_messages_ = 0;
-  round_unicasts_ = 0;
   round_staged_.clear();
-  round_slots_.clear();
   round_bcasters_.clear();
   for (detail::SendTally& tally : tallies_) tally.clear();
   for (detail::InboxScratch& scratch : scratch_) scratch.node = -1;

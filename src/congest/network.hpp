@@ -12,15 +12,21 @@
 // Internals are flat and CSR-indexed.  Every directed edge (u, i-th
 // neighbor of u) owns the adjacency slot `offsets[u] + i`; a precomputed
 // reverse-edge table maps it to the matching slot on the receiver's side.
-// A unicast is one store into a per-directed-edge message slot (stamped
-// with the current round number), so the one-message-per-edge-per-round
+// A unicast stamps that receiver-side slot with the current round number
+// and stages (slot, 16-byte payload), so the one-message-per-edge-per-round
 // rule is enforced structurally — two sends on one edge hit the same slot
 // and the stamp betrays the second.  A broadcast stores its message *once*
-// in a per-sender buffer (O(1), not O(degree)); the delivery sweep — one
-// O(m) pass over each receiver's sorted adjacency range — gathers from
-// sender broadcast buffers and stamped unicast slots into a flat inbox
-// arena with per-node spans.  Rounds with no unicast at all (the common
-// case for the paper's algorithms) skip the unicast-slot checks entirely.
+// in a per-sender buffer (O(1), not O(degree)).  Delivery gathers into a
+// flat inbox arena with per-node spans, choosing per round: quiet rounds
+// cost O(n); sparse rounds walk only the deliverable slots (the staged
+// unicasts, already slot-sorted, merged with the sorted broadcast
+// fan-out); dense rounds make one O(m) pass over each receiver's sorted
+// adjacency range, and skip the unicast stamps entirely when nobody
+// unicast (the common case for the paper's algorithms).  Either way a
+// unicast's payload is read through a forward-only cursor into the staged
+// list, never by search.  `NodeView::inbox()` decodes a node's packed
+// entries in place into a grow-only per-worker buffer, with a
+// straight-line path for the 0–1 field messages that dominate traffic.
 //
 // Delivery order is deterministic and documented: each node's inbox is
 // sorted by sender id, ascending (the sweep walks the receiver's sorted
@@ -103,11 +109,14 @@ static_assert(sizeof(PackedIncoming) == 20);
 
 /// Per-worker decode buffer for `NodeView::inbox()`: the packed arena is
 /// expanded into full `Incoming` entries once per (node, round) and the
-/// span handed to the step points here.  Capacity is bounded by the
-/// largest inbox the worker has seen (O(max degree), not O(m)) and is
-/// reused across nodes, rounds, and pooled rebinds.
+/// span handed to the step points at the first `count` of them.  `items`
+/// only grows — entries past `count` are stale leftovers of a larger
+/// inbox, never value-initialized again as inbox sizes vary — so its size
+/// is bounded by the largest inbox the worker has seen (O(max degree),
+/// not O(m)) and is reused across nodes, rounds, and pooled rebinds.
 struct InboxScratch {
   std::vector<Incoming> items;
+  std::uint32_t count = 0;
   NodeId node = -1;
   std::int64_t round = -1;
 };
@@ -402,9 +411,12 @@ class Network {
   /// Gathers this round's messages into the inbox arena and advances the
   /// round counter.  Output-sensitive: quiet rounds are O(n), rounds whose
   /// delivered-slot count is small relative to 2m gather via a sorted slot
-  /// list, and only message-heavy rounds pay the full O(m) sweep — split
-  /// over the same worker ranges as the step phase when threads() > 1.
-  /// Defined in network.cpp (shared by all instantiations).
+  /// list (the already-sorted unicast slots merged with the sorted
+  /// broadcast fan-out), and only message-heavy rounds pay the full O(m)
+  /// sweep — split over the same worker ranges as the step phase when
+  /// threads() > 1.  Unicast payloads are read through a per-worker
+  /// cursor into the slot-sorted staged list, never by search.  Defined
+  /// in network.cpp (shared by all instantiations).
   void deliver();
 
   /// Allocates the per-directed-edge unicast buffers on first use, so
@@ -429,28 +441,30 @@ class Network {
   std::uint32_t push_wide(const Message& m);
 
   /// Expands node v's packed inbox into the worker's scratch buffer (once
-  /// per round — repeat calls return the memoized span).
+  /// per round — repeat calls return the memoized span).  Each entry is
+  /// decoded in place over the buffer's previous contents.
   std::span<const Incoming> decode_inbox(NodeId v,
                                          detail::InboxScratch& scratch) const {
-    if (scratch.node == v && scratch.round == stats_.rounds)
-      return {scratch.items.data(), scratch.items.size()};
-    const auto vi = static_cast<std::size_t>(v);
-    const std::uint32_t begin = first_slot_[vi];
-    const std::uint32_t count = inbox_count_[vi];
-    const detail::PackedIncoming* entries = inbox_arena_.data() + begin;
-    const NodeId* adj = graph_.adjacency_array().data() + begin;
-    const std::array<std::int64_t, 4>* wide = wide_inbox_.data();
-    scratch.items.resize(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const detail::PackedIncoming& e = entries[i];
-      Incoming& in = scratch.items[i];
-      in.from = adj[e.reply_slot];
-      in.reply_slot = e.reply_slot;
-      in.msg = e.msg.unpack(wide);
+    if (scratch.node != v || scratch.round != stats_.rounds) {
+      const auto vi = static_cast<std::size_t>(v);
+      const std::uint32_t begin = first_slot_[vi];
+      const std::uint32_t count = inbox_count_[vi];
+      const detail::PackedIncoming* entries = inbox_arena_.data() + begin;
+      const NodeId* adj = graph_.adjacency_array().data() + begin;
+      const std::array<std::int64_t, 4>* wide = wide_inbox_.data();
+      if (scratch.items.size() < count) scratch.items.resize(count);
+      Incoming* items = scratch.items.data();
+      for (std::uint32_t i = 0; i < count; ++i) {
+        const detail::PackedIncoming& e = entries[i];
+        items[i].from = adj[e.reply_slot];
+        items[i].reply_slot = e.reply_slot;
+        e.msg.unpack_into(items[i].msg, wide);
+      }
+      scratch.count = count;
+      scratch.node = v;
+      scratch.round = stats_.rounds;
     }
-    scratch.node = v;
-    scratch.round = stats_.rounds;
-    return {scratch.items.data(), scratch.items.size()};
+    return {scratch.items.data(), scratch.count};
   }
 
   /// Round prologue when a fault model or round limit is armed: enforces
@@ -496,15 +510,14 @@ class Network {
   std::vector<std::int32_t> slot_round_;    // 2m entries (lazy)
   std::atomic<bool> unicast_ready_{false};  // acquire-gated lazy init
   std::mutex unicast_init_mutex_;
-  std::int64_t round_unicasts_ = 0;         // unicasts sent this round
   std::vector<std::int32_t> unicast_round_; // last round each node unicast
   // This round's senders after the merge: every staged unicast sorted by
   // receiver-side slot (slots are unique by the send discipline, so the
-  // order is deterministic at any thread count and delivery looks payloads
-  // up by binary search), the same slots alone, and the nodes that
-  // broadcast.  round_slots_ + broadcaster degrees bound the deliverable
-  // slot set, so sparse rounds gather in O(k log k + n) instead of
-  // sweeping 2m slots.
+  // order is deterministic at any thread count, and delivery consumes it
+  // with a forward-only cursor as it meets the slots) and the nodes that
+  // broadcast.  Staged unicasts + broadcaster degrees bound the
+  // deliverable slot set; a sparse round merges them into round_slots_
+  // and gathers in O(k log k + n) instead of sweeping 2m slots.
   std::vector<detail::StagedUnicast> round_staged_;
   std::vector<std::uint32_t> round_slots_;
   std::vector<NodeId> round_bcasters_;

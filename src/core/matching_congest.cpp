@@ -1,7 +1,6 @@
 #include "core/matching_congest.hpp"
 
 #include <algorithm>
-#include <map>
 
 namespace pg::core {
 
@@ -34,12 +33,15 @@ MatchingCongestResult solve_maximal_matching_congest(Network& net) {
 
   // Byte flags, not vector<bool>: nodes flip their own entry from inside
   // the (possibly parallel) rounds, and vector<bool> packs 64 nodes per
-  // shared word.
+  // shared word.  nbr_matched has one flag per CSR slot — node v's view of
+  // its i-th neighbor lives at offsets[v] + i — and flags only ever go
+  // 0 -> 1, so each node's first-unmatched-neighbor cursor only advances.
+  const auto offsets = g.adjacency_offsets();
   std::vector<char> matched(n, 0);
   std::vector<NodeId> partner(n, -1);
-  std::vector<std::map<NodeId, bool>> nbr_matched(n);
+  std::vector<char> nbr_matched(g.adjacency_array().size(), 0);
+  std::vector<std::uint32_t> cursor(n, 0);
   std::vector<NodeId> proposed_to(n, -1);
-  std::vector<std::size_t> proposed_slot(n, 0);
 
   // Termination: once no unmatched vertex has an unmatched neighbor, no
   // proposals are sent and the loop exits (checked globally, as usual).
@@ -49,20 +51,20 @@ MatchingCongestResult solve_maximal_matching_congest(Network& net) {
     // unmatched neighbor.
     net.round([&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
+      char* flags = nbr_matched.data() + offsets[me];
       for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kMatched) nbr_matched[me][in.from] = true;
+        if (in.msg.kind == kMatched) flags[in.reply_slot] = 1;
       proposed_to[me] = -1;
       if (matched[me] != 0) return;
-      const auto nbrs = node.neighbors();  // ids are sorted ascending
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        if (!nbr_matched[me].count(nbrs[i])) {
-          proposed_to[me] = nbrs[i];
-          proposed_slot[me] = i;
-          break;
-        }
+      // Rows are sorted ascending, so the first unflagged slot is the
+      // smallest unmatched neighbor.
+      const std::size_t degree = node.degree();
+      std::uint32_t& i = cursor[me];
+      while (i < degree && flags[i] != 0) ++i;
+      if (i < degree) {
+        proposed_to[me] = node.neighbors()[i];
+        node.send_slot(i, Message{kPropose, {}});
       }
-      if (proposed_to[me] != -1)
-        node.send_slot(proposed_slot[me], Message{kPropose, {}});
     });
     // Derived after the barrier instead of set from inside the step: many
     // nodes writing one shared bool is a data race even when every write

@@ -1,6 +1,7 @@
 #include "core/mwvc_congest.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -52,8 +53,7 @@ MwvcCongestResult solve_g2_mwvc_congest(Network& net, const VertexWeights& w,
   PG_REQUIRE(w.size() == g.num_vertices(), "weights/graph size mismatch");
   PG_REQUIRE(graph::is_connected(g), "Theorem 7 assumes a connected network");
   const std::size_t n = static_cast<std::size_t>(g.num_vertices());
-  const Weight max_weight = static_cast<Weight>(n) * static_cast<Weight>(n) *
-                            static_cast<Weight>(n) * static_cast<Weight>(n);
+  const Weight max_weight = saturating_pow(n, 4);
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     PG_REQUIRE(w[v] >= 0 && w[v] <= std::max<Weight>(max_weight, 16),
                "weights must fit in O(log n) bits (<= n^4)");
@@ -85,8 +85,13 @@ MwvcCongestResult solve_g2_mwvc_congest(Network& net, const VertexWeights& w,
       result.cover.insert(v);
     }
 
+  // Per-neighbor knowledge is slot-indexed: node v's entry for its i-th
+  // neighbor lives at offsets[v] + i, and 0 stands for "never heard".
+  const auto offsets = g.adjacency_offsets();
+  const std::size_t slots = g.adjacency_array().size();
+
   // Round 0: announce weights; every node caches its neighbors' weights.
-  std::vector<std::map<NodeId, Weight>> nbr_weight(n);
+  std::vector<Weight> nbr_weight(slots, 0);
   std::vector<Weight> w_min(n, 0);  // min weight over the *original* N(v)
   net.round([&](NodeView& node) {
     node.broadcast(Message{kWeight, {w[node.id()]}});
@@ -97,7 +102,7 @@ MwvcCongestResult solve_g2_mwvc_congest(Network& net, const VertexWeights& w,
     for (const Incoming& in : node.inbox()) {
       if (in.msg.kind != kWeight || in.msg.num_fields < 1) continue;
       const Weight wt = in.msg.at(0);
-      nbr_weight[me][in.from] = wt;
+      nbr_weight[offsets[me] + in.reply_slot] = wt;
       if (wt > 0 && (lowest == 0 || wt < lowest)) lowest = wt;
     }
     w_min[me] = lowest;  // 0 means "no positive-weight neighbor"
@@ -106,7 +111,7 @@ MwvcCongestResult solve_g2_mwvc_congest(Network& net, const VertexWeights& w,
   std::vector<char> is_candidate(n, 0);
   std::vector<int> chosen_class(n, -1);
   std::vector<NodeId> max1(n, -1);
-  std::vector<std::map<NodeId, bool>> nbr_in_r(n);
+  std::vector<char> nbr_in_r(slots, 0);
 
   bool any_candidate = true;
   while (any_candidate) {
@@ -138,27 +143,37 @@ MwvcCongestResult solve_g2_mwvc_congest(Network& net, const VertexWeights& w,
     // Round 2: evaluate the per-class center condition.
     net.round([&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
+      const std::size_t base = offsets[me];
       for (const Incoming& in : node.inbox())
         if (in.msg.kind == kStatus && in.msg.num_fields >= 1)
-          nbr_in_r[me][in.from] = in.msg.at(0) == 1;
+          nbr_in_r[base + in.reply_slot] = in.msg.at(0) == 1 ? 1 : 0;
 
       is_candidate[me] = 0;
       chosen_class[me] = -1;
       if (w_min[me] > 0) {
-        // Accumulate W_i and w*_i over active neighbors.
-        std::map<int, std::pair<Weight, Weight>> stats;  // i -> (sum, max)
-        for (const auto& [nbr, active] : nbr_in_r[me]) {
-          if (!active) continue;
-          const Weight wt = nbr_weight[me][nbr];
+        // Accumulate W_i and w*_i over active neighbors.  Classes of
+        // positive int64 weights over w_min >= 1 are 0..62, so a fixed
+        // table indexed by class replaces a per-node ordered map; entries
+        // [0, top] are live.  Sums are 128-bit: corrupted weights reach
+        // 2^63, and a few of them overflow int64.
+        std::array<std::pair<__int128, Weight>, 63> stats;  // i -> (sum, max)
+        int top = -1;
+        for (std::size_t e = base; e < base + node.degree(); ++e) {
+          if (nbr_in_r[e] == 0) continue;
+          const Weight wt = nbr_weight[e];
           if (wt <= 0) continue;
           const int i = weight_class(w_min[me], wt);
-          auto& [sum, mx] = stats[i];
+          while (top < i) stats[static_cast<std::size_t>(++top)] = {0, 0};
+          auto& [sum, mx] = stats[static_cast<std::size_t>(i)];
           sum += wt;
           mx = std::max(mx, wt);
         }
-        for (const auto& [i, sm] : stats) {
-          const auto& [sum, mx] = sm;
-          if (static_cast<Weight>(l + 1) * mx <= sum) {
+        // The first (ascending) class some active neighbor falls in that
+        // passes the center test (l+1)·w* <= W, phrased divide-side as in
+        // gr_mwvc.cpp.
+        for (int i = 0; i <= top; ++i) {
+          const auto& [sum, mx] = stats[static_cast<std::size_t>(i)];
+          if (mx > 0 && mx <= sum / (l + 1)) {
             is_candidate[me] = 1;
             chosen_class[me] = i;
             break;

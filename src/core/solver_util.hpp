@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 
 #include "graph/graph.hpp"
 #include "util/check.hpp"
@@ -26,6 +27,20 @@ inline int weight_class(graph::Weight w_min, graph::Weight w) {
     ++i;
   }
   return i;
+}
+
+/// base^exponent, saturated at the int64 maximum instead of overflowing —
+/// Theorem 7's weight cap n^4 leaves the int64 range from n = 55,109 on.
+inline graph::Weight saturating_pow(std::uint64_t base, int exponent) {
+  constexpr auto kMax =
+      static_cast<std::uint64_t>(std::numeric_limits<graph::Weight>::max());
+  std::uint64_t result = 1;
+  for (int i = 0; i < exponent; ++i) {
+    if (base != 0 && result > kMax / base)
+      return static_cast<graph::Weight>(kMax);
+    result *= base;
+  }
+  return static_cast<graph::Weight>(result);
 }
 
 /// Node budget for one remainder component of a G^r exact phase: small

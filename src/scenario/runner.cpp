@@ -171,16 +171,23 @@ double cell_budget_ms(const ExecOptions& opts, const CellSpec& cell) {
   return opts.cell_timeout_ms;
 }
 
-/// Resets `out` to a bare non-ok row.  Partial fields from the aborted
-/// attempt are deliberately dropped: what a timeout had already computed
-/// depends on timing, and failure rows must not smuggle nondeterminism
-/// into the report.
+/// Resets `out` to a bare non-ok row.  Used where nothing the row holds
+/// can be trusted: a timeout's partial fields depend on where the watchdog
+/// happened to stop, and cells that never ran have none.  A cell that
+/// *threw* keeps its partial row instead (see execute_cell).
 void fail_cell(CellResult& out, const CellSpec& spec, std::uint64_t index,
                CellStatus status, std::string error, double wall_ms) {
   out = CellResult{};
   out.spec = spec;
   out.cell_index = index;
   out.status = status;
+  out.error = std::move(error);
+  out.wall_ms = wall_ms;
+}
+
+/// Marks a partially filled row failed, keeping what it already holds.
+void fail_in_place(CellResult& out, std::string error, double wall_ms) {
+  out.status = CellStatus::kFailed;
   out.error = std::move(error);
   out.wall_ms = wall_ms;
 }
@@ -680,14 +687,14 @@ void execute_cell(const CellSpec& spec, GroupContext& group,
     fail_cell(out, spec, cell_index, CellStatus::kTimeout, cancelled.what(),
               elapsed_ms(cell_started));
   } catch (const std::exception& error) {
-    fail_cell(out, spec, cell_index, CellStatus::kFailed, error.what(),
-              elapsed_ms(cell_started));
+    // A throw is a deterministic function of the cell, so the columns
+    // computed before it (the topology block above all) stay in the row.
+    fail_in_place(out, error.what(), elapsed_ms(cell_started));
   } catch (...) {
     // Non-standard exceptions (throw 42;) must not escape a worker
     // thread: route them through the row like everything else.
-    fail_cell(out, spec, cell_index, CellStatus::kFailed,
-              "non-standard exception from algorithm or scenario",
-              elapsed_ms(cell_started));
+    fail_in_place(out, "non-standard exception from algorithm or scenario",
+                  elapsed_ms(cell_started));
   }
   if (env.watchdog != nullptr) env.watchdog->disarm(env.worker);
 }

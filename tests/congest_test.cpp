@@ -6,7 +6,11 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "congest/network.hpp"
 #include "congest/primitives.hpp"
@@ -33,6 +37,61 @@ TEST(Message, BandwidthFormula) {
   EXPECT_EQ(bandwidth_bits(16), 64);
   EXPECT_EQ(bandwidth_bits(17), 80);
   EXPECT_EQ(bandwidth_bits(1024), 160);
+}
+
+// ------------------------------------------------------ packed decode ---
+
+void expect_same_message(const Message& a, const Message& b,
+                         const std::string& where) {
+  EXPECT_EQ(a.kind, b.kind) << where;
+  EXPECT_EQ(a.num_fields, b.num_fields) << where;
+  EXPECT_EQ(a.fields, b.fields) << where;
+}
+
+TEST(PackedMessage, StraightLineDecodeMatchesGeneric) {
+  // unpack_into's straight-line path (narrow 0–1 field messages) must
+  // agree with the generic decoder on every encoding — narrow, wide, and
+  // after fault corruption — and both must overwrite every field of a
+  // reused Message.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t k57 = std::int64_t{1} << 57;
+  const std::vector<std::int64_t> values = {0,    1,    -1,  kMin,
+                                            kMax, k57, -k57};
+  std::vector<std::array<std::int64_t, 4>> pool;
+  std::size_t wide = 0;
+  auto check = [&](const PackedMessage& p, const std::string& where) {
+    Message fast{99, {7, 7, 7, 7}};  // stale contents to be overwritten
+    Message generic = fast;
+    p.unpack_into(fast, pool.data());
+    p.unpack_generic(generic, pool.data());
+    expect_same_message(fast, generic, where);
+    return fast;
+  };
+  for (std::uint8_t nf = 0; nf <= 4; ++nf) {
+    for (std::size_t j = 0; j < values.size(); ++j) {
+      Message m;
+      m.kind = static_cast<std::uint8_t>(200 + j);
+      m.num_fields = nf;
+      for (std::size_t i = 0; i < nf; ++i)
+        m.fields[i] = values[(j + i) % values.size()];
+      PackedMessage p;
+      if (!p.try_pack(m)) {
+        pool.push_back(m.fields);
+        p.pack_wide(m, static_cast<std::uint32_t>(pool.size() - 1));
+        ++wide;
+      }
+      const std::string where =
+          "nf=" + std::to_string(nf) + " j=" + std::to_string(j);
+      expect_same_message(check(p, where), m, where);
+      for (std::uint64_t entropy = 0; entropy < 300; entropy += 7) {
+        PackedMessage hit = p;
+        hit.corrupt(entropy * 0x9e3779b97f4a7c15ull);
+        check(hit, where + " corrupted " + std::to_string(entropy));
+      }
+    }
+  }
+  EXPECT_GT(wide, 0u) << "the wide path went unexercised";
 }
 
 TEST(Network, DeliversNextRound) {
@@ -130,6 +189,109 @@ TEST(Network, InboxSortedBySenderId) {
     }
   });
   EXPECT_TRUE(saw_any);
+}
+
+TEST(Network, InboxSpanCoversOnlyTheNodesOwnEntries) {
+  // The decode buffer is shared by every node a worker steps and only
+  // grows; a leaf stepped right after the hub's large inbox must see its
+  // own single entry, not the hub's leftovers.
+  const Graph g = graph::star_graph(9);
+  Network net(g);
+  net.round([&](NodeView& node) { node.broadcast(Message{5, {node.id()}}); });
+  net.round([&](NodeView& node) {
+    const auto inbox = node.inbox();
+    if (node.id() == 0) {
+      ASSERT_EQ(inbox.size(), 9u);
+      for (std::size_t i = 0; i < inbox.size(); ++i)
+        EXPECT_EQ(inbox[i].msg.at(0), static_cast<std::int64_t>(i + 1));
+      return;
+    }
+    ASSERT_EQ(inbox.size(), 1u) << "node " << node.id();
+    EXPECT_EQ(inbox[0].from, 0);
+    EXPECT_EQ(inbox[0].msg.at(0), 0);
+    EXPECT_EQ(node.inbox().data(), inbox.data());  // memoized per round
+  });
+}
+
+TEST(Network, SparseMixedRoundWithDropsMatchesBruteForce) {
+  // One broadcast plus unicasts converging on the same receiver, in a
+  // round sparse enough (deliverable slots <= 2m/4) to take the merged
+  // slot-list path, with drops on.  The reference is derived from the
+  // topology and the drop hash alone.
+  constexpr NodeId kHub = 50;
+  constexpr NodeId kBroadcaster = 51;
+  graph::GraphBuilder builder(200);
+  for (NodeId v = 0; v + 1 < 200; ++v) builder.add_edge(v, v + 1);
+  std::vector<std::pair<NodeId, NodeId>> unicasts;  // (from, to)
+  for (NodeId v = 1; v < 30; v += 2) {
+    builder.add_edge(v, kHub);
+    unicasts.push_back({v, kHub});
+  }
+  unicasts.push_back({49, kHub});
+  unicasts.push_back({150, 151});
+  unicasts.push_back({152, 151});
+  const Graph g = std::move(builder).build();
+  FaultModel model;
+  model.drop_rate = 0.3;
+  model.seed = 5;
+  auto sends = [&](NodeView& node) {
+    if (node.id() == kBroadcaster) {
+      node.broadcast(Message{3, {node.id()}});
+      return;
+    }
+    for (const auto& [from, to] : unicasts)
+      if (from == node.id()) node.send(to, Message{4, {from, to}});
+  };
+  auto sends_to = [&](NodeId u, NodeId v) {
+    if (u == kBroadcaster) return true;
+    return std::find(unicasts.begin(), unicasts.end(),
+                     std::pair<NodeId, NodeId>{u, v}) != unicasts.end();
+  };
+
+  // Brute force: every (receiver, sender) pair in receiver slot order.
+  using Entry = std::array<std::int64_t, 4>;  // to, from, kind, field 0
+  std::vector<Entry> expected;
+  std::int64_t drops = 0;
+  const auto offsets = g.adjacency_offsets();
+  for (NodeId v = 0; v < g.num_vertices(); ++v) {
+    const auto nbrs = g.neighbors(v);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      if (!sends_to(nbrs[i], v)) continue;
+      const std::uint64_t e = offsets[static_cast<std::size_t>(v)] + i;
+      if (fault_fires(fault_threshold(model.drop_rate), model.seed,
+                      kFaultTagDrop, 0, e)) {
+        ++drops;
+        continue;
+      }
+      expected.push_back({v, nbrs[i], nbrs[i] == kBroadcaster ? 3 : 4,
+                          nbrs[i]});
+    }
+  }
+  ASSERT_GT(drops, 0) << "pick a seed that drops something";
+  const std::size_t candidates = unicasts.size() + g.degree(kBroadcaster);
+  ASSERT_LE(4 * candidates, g.adjacency_array().size());
+
+  for (const int threads : {1, 3}) {
+    Network net(g);
+    net.set_threads(threads);
+    net.set_fault_model(model);
+    net.round(sends);
+    // Per-node logs (each node writes only its own), flattened in id
+    // order — the reference's order when inboxes are sender-sorted.
+    std::vector<std::vector<Entry>> logs(g.num_vertices());
+    net.round([&](NodeView& node) {
+      for (const Incoming& in : node.inbox()) {
+        logs[static_cast<std::size_t>(node.id())].push_back(
+            {node.id(), in.from, in.msg.kind, in.msg.at(0)});
+        if (in.msg.kind == 4) EXPECT_EQ(in.msg.at(1), node.id());
+      }
+    });
+    std::vector<Entry> seen;
+    for (const auto& log : logs)
+      seen.insert(seen.end(), log.begin(), log.end());
+    EXPECT_EQ(seen, expected) << "threads " << threads;
+    EXPECT_EQ(net.stats().faults.messages_dropped, drops);
+  }
 }
 
 TEST(Network, DeliveryIsDeterministic) {

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/mvc_congest.hpp"
 #include "core/mwvc_congest.hpp"
+#include "core/solver_util.hpp"
 #include "core/trivial.hpp"
 #include "graph/cover.hpp"
 #include "graph/generators.hpp"
@@ -249,6 +251,18 @@ TEST(MwvcCongest, RejectsHugeWeights) {
   VertexWeights w(g.num_vertices(), 1);
   w.set(0, Weight{1} << 40);  // > n^4
   EXPECT_THROW(solve_g2_mwvc_congest(g, w), PreconditionViolation);
+}
+
+TEST(MwvcCongest, WeightCapSaturatesInsteadOfOverflowing) {
+  // n^4 is the largest cap that fits int64 at n = 55,108; one node more
+  // and the product used to overflow (undefined behavior).
+  constexpr Weight kMax = std::numeric_limits<Weight>::max();
+  EXPECT_EQ(saturating_pow(55'108, 4), Weight{9'222'710'978'872'688'896});
+  EXPECT_EQ(saturating_pow(55'109, 4), kMax);
+  EXPECT_EQ(saturating_pow(100'000, 4), kMax);
+  EXPECT_EQ(saturating_pow(16, 4), Weight{65'536});
+  EXPECT_EQ(saturating_pow(0, 4), 0);
+  EXPECT_EQ(saturating_pow(7, 0), 1);
 }
 
 // ------------------------------------------------------------- Lemma 6 ----

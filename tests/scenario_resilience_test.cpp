@@ -561,6 +561,43 @@ TEST(Containment, GeneratorFailureIsCellLocalNotGroupFatal) {
   }
 }
 
+TEST(Containment, FailedRowsKeepTheirTopologyColumnsTimeoutsResetInFull) {
+  // A throw is deterministic, so a failed row keeps the topology columns
+  // computed before it; a timeout's partial row depends on where the
+  // watchdog stopped, so it is reset to a bare row.  Both adapters run
+  // after the runner has filled the topology block.
+  SweepSpec spec;
+  spec.scenarios = {"ba"};
+  spec.algorithms = {"gr-mvc", "faulty-throw", "faulty-stall"};
+  spec.sizes = {20};
+  spec.seeds = {1};
+  ExecOptions opts;
+  opts.budget_ms = [](const CellSpec& cell) {
+    return cell.algorithm == "faulty-stall" ? 100.0 : 0.0;
+  };
+  const SweepRun run = sweep_csv(spec, opts);
+  ASSERT_EQ(run.rows.size(), 3u);
+  const CellResult& ok = run.rows[0];
+  const CellResult& failed = run.rows[1];
+  const CellResult& timeout = run.rows[2];
+  ASSERT_EQ(ok.status, CellStatus::kOk);
+  ASSERT_EQ(failed.status, CellStatus::kFailed);
+  ASSERT_EQ(timeout.status, CellStatus::kTimeout);
+  ASSERT_GT(ok.base_edges, 0u);
+  EXPECT_EQ(failed.base_edges, ok.base_edges);
+  EXPECT_EQ(failed.comm_power, ok.comm_power);
+  EXPECT_EQ(failed.comm_edges, ok.comm_edges);
+  EXPECT_EQ(failed.target_edges, ok.target_edges);
+  EXPECT_EQ(failed.regime, ok.regime);
+  EXPECT_NE(failed.error.find("injected fault: faulty-throw"),
+            std::string::npos);
+  EXPECT_EQ(failed.solution_size, 0u);  // nothing past the throw
+  EXPECT_EQ(failed.rounds, 0);
+  EXPECT_EQ(timeout.base_edges, 0u);
+  EXPECT_EQ(timeout.comm_edges, 0u);
+  EXPECT_EQ(timeout.target_edges, 0u);
+}
+
 #ifdef PG_TEST_HAS_FORK
 TEST(Isolation, CrashCostsOneGroupAndRetryRecoversTransientCrashes) {
   SweepSpec spec = base_spec();

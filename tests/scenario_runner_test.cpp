@@ -11,6 +11,7 @@
 #include <string_view>
 #include <vector>
 
+#include "scenario/fault.hpp"
 #include "scenario/report.hpp"
 #include "scenario/runner.hpp"
 
@@ -177,6 +178,122 @@ TEST(SweepDeterminism, GoldenCsvForCentralizedCells) {
       "1,ba,gr-mvc,12,2,0.5,-,7,ok,21,1,21,53,11,11,1,0,0,0,0,exact,10,"
       "1.1000,exact,10,1.1000,\n";
   EXPECT_EQ(csv_string(run_sweep(spec)), expected);
+}
+
+// The CONGEST counterpart of the centralized golden: every simulated
+// algorithm's row on two power-law topologies, captured before the round
+// engine's per-message fast paths (slot-indexed neighbor state, in-place
+// inbox decode, cursor-merged sparse delivery) and required to stay
+// byte-identical through them.  Regenerate via:
+//   powergraph_cli sweep --scenarios ba,chung-lu
+//     --algorithms mds,matching,mvc,mvc53,mvc-rand,mwvc --sizes 40
+//     --powers 2 --epsilons 0.5 --weights zipf --seeds 1 --csv -
+// (append --fault-plan drop=0.01,corrupt=0.01 for the faulty variant).
+// The faulty variant's failed rows were captured bare and re-pinned once
+// failed rows kept their topology columns; every other value is as
+// captured.
+std::string congest_golden_csv(int congest_threads, const FaultPlan* plan) {
+  SweepSpec spec;
+  spec.scenarios = {"ba", "chung-lu"};
+  spec.algorithms = {"mds", "matching", "mvc", "mvc53", "mvc-rand", "mwvc"};
+  spec.sizes = {40};
+  spec.powers = {2};
+  spec.epsilons = {0.5};
+  spec.weightings = {"zipf"};
+  spec.seeds = {1};
+  spec.congest_threads = congest_threads;
+  std::ostringstream out;
+  CsvWriter writer(out, false, false, /*faults=*/plan != nullptr);
+  writer.begin(spec, count_grid_cells(spec));
+  ExecOptions opts;
+  opts.fault_plan = plan;
+  run_sweep_stream(spec, [&](const CellResult& row) { writer.row(row); },
+                   opts);
+  return out.str();
+}
+
+// Drops each line's last (error) column: failed rows' messages embed the
+// source path of the check that fired.
+std::string without_error_column(const std::string& csv) {
+  std::istringstream in(csv);
+  std::string out;
+  for (std::string line; std::getline(in, line);) {
+    out += line.substr(0, line.rfind(','));
+    out += '\n';
+  }
+  return out;
+}
+
+TEST(SweepDeterminism, GoldenCsvForCongestCells) {
+  const std::string expected =
+      "cell_index,scenario,algorithm,n,r,epsilon,weighting,seed,status,"
+      "base_edges,comm_power,comm_edges,target_edges,solution_size,"
+      "solution_weight,feasible,exact,rounds,messages,total_bits,baseline,"
+      "baseline_size,ratio,weight_baseline,baseline_weight,ratio_weight,"
+      "error\n"
+      "0,ba,mds,40,2,-,-,1,ok,77,1,77,343,4,4,1,0,334,18719,662091,greedy,"
+      "3,1.3333,greedy,3,1.3333,\n"
+      "1,ba,matching,40,2,-,-,1,ok,77,2,343,343,34,34,1,0,25,952,7616,"
+      "greedy,34,1.0000,greedy,34,1.0000,\n"
+      "2,ba,mvc,40,2,0.5,-,1,ok,77,1,77,343,38,38,1,0,50,3631,37294,"
+      "greedy,34,1.1176,greedy,34,1.1176,\n"
+      "3,ba,mvc53,40,2,-,-,1,ok,77,1,77,343,38,38,1,0,50,3631,37294,"
+      "greedy,34,1.1176,greedy,34,1.1176,\n"
+      "4,ba,mvc-rand,40,2,0.5,-,1,ok,77,1,77,343,31,31,1,0,139,2470,32262,"
+      "greedy,34,0.9118,greedy,34,0.9118,\n"
+      "5,ba,mwvc,40,2,0.5,zipf,1,ok,77,1,77,343,36,51,1,0,79,3866,40285,"
+      "greedy,34,1.0588,greedy,52,0.9808,\n"
+      "6,chung-lu,mds,40,2,-,-,1,ok,73,1,73,296,7,7,1,0,334,17721,641819,"
+      "greedy,4,1.7500,greedy,4,1.7500,\n"
+      "7,chung-lu,matching,40,2,-,-,1,ok,73,2,296,296,34,34,1,0,25,830,"
+      "6640,greedy,34,1.0000,greedy,34,1.0000,\n"
+      "8,chung-lu,mvc,40,2,0.5,-,1,ok,73,1,73,296,34,34,1,0,57,3168,33008,"
+      "greedy,34,1.0000,greedy,34,1.0000,\n"
+      "9,chung-lu,mvc53,40,2,-,-,1,ok,73,1,73,296,34,34,1,0,57,3168,33008,"
+      "greedy,34,1.0000,greedy,34,1.0000,\n"
+      "10,chung-lu,mvc-rand,40,2,0.5,-,1,ok,73,1,73,296,29,29,1,0,88,2143,"
+      "27314,greedy,34,0.8529,greedy,34,0.8529,\n"
+      "11,chung-lu,mwvc,40,2,0.5,zipf,1,ok,73,1,73,296,33,47,1,0,68,3194,"
+      "34579,greedy,34,0.9706,greedy,48,0.9792,\n";
+  EXPECT_EQ(congest_golden_csv(1, nullptr), expected);
+  EXPECT_EQ(congest_golden_csv(3, nullptr), expected);
+
+  // Under drops and corruption most cells fail their own checks; the
+  // failed rows still carry the topology columns computed before the
+  // throw, and every fault counter is pinned.
+  const FaultPlan plan = FaultPlan::parse("drop=0.01,corrupt=0.01");
+  const std::string faulty =
+      "cell_index,scenario,algorithm,n,r,epsilon,weighting,seed,status,"
+      "base_edges,comm_power,comm_edges,target_edges,solution_size,"
+      "solution_weight,feasible,exact,rounds,messages,total_bits,baseline,"
+      "baseline_size,ratio,weight_baseline,baseline_weight,ratio_weight,"
+      "msgs_dropped,msgs_corrupted,nodes_crashed,rounds_survived\n"
+      "0,ba,mds,40,2,-,-,1,ok,77,1,77,343,7,7,1,0,10521,360871,13245202,"
+      "greedy,3,2.3333,greedy,3,2.3333,3652,3651,0,10521\n"
+      "1,ba,matching,40,2,-,-,1,failed,77,2,343,343,0,0,0,0,0,0,0,none,0,-,"
+      "none,0,-,0,0,0,0\n"
+      "2,ba,mvc,40,2,0.5,-,1,failed,77,1,77,343,0,0,0,0,0,0,0,none,0,-,"
+      "none,0,-,0,0,0,0\n"
+      "3,ba,mvc53,40,2,-,-,1,ok,77,1,77,343,39,39,1,0,58,4295,43467,greedy,"
+      "34,1.1471,greedy,34,1.1471,54,49,0,58\n"
+      "4,ba,mvc-rand,40,2,0.5,-,1,failed,77,1,77,343,0,0,0,0,0,0,0,none,0,"
+      "-,none,0,-,0,0,0,0\n"
+      "5,ba,mwvc,40,2,0.5,zipf,1,failed,77,1,77,343,0,0,0,0,0,0,0,none,0,-,"
+      "none,0,-,0,0,0,0\n"
+      "6,chung-lu,mds,40,2,-,-,1,ok,73,1,73,296,7,7,1,0,5845,213482,"
+      "7764291,greedy,4,1.7500,greedy,4,1.7500,2134,2092,0,5845\n"
+      "7,chung-lu,matching,40,2,-,-,1,failed,73,2,296,296,0,0,0,0,0,0,0,"
+      "none,0,-,none,0,-,0,0,0,0\n"
+      "8,chung-lu,mvc,40,2,0.5,-,1,failed,73,1,73,296,0,0,0,0,0,0,0,none,0,"
+      "-,none,0,-,0,0,0,0\n"
+      "9,chung-lu,mvc53,40,2,-,-,1,failed,73,1,73,296,0,0,0,0,0,0,0,none,0,"
+      "-,none,0,-,0,0,0,0\n"
+      "10,chung-lu,mvc-rand,40,2,0.5,-,1,failed,73,1,73,296,0,0,0,0,0,0,0,"
+      "none,0,-,none,0,-,0,0,0,0\n"
+      "11,chung-lu,mwvc,40,2,0.5,zipf,1,failed,73,1,73,296,0,0,0,0,0,0,0,"
+      "none,0,-,none,0,-,0,0,0,0\n";
+  EXPECT_EQ(without_error_column(congest_golden_csv(1, &plan)), faulty);
+  EXPECT_EQ(without_error_column(congest_golden_csv(3, &plan)), faulty);
 }
 
 // A numpunct that mimics comma-decimal locales (de_DE and friends)
