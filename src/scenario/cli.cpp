@@ -158,16 +158,16 @@ void print_usage(std::ostream& out) {
          "                              deal — the assignment --spawn uses\n"
          "      [--spawn K]             self-driving multi-process sweep:\n"
          "                              fork K shard children, balance\n"
-         "                              groups by predicted cost, stream\n"
-         "                              progress, auto-merge byte-identical\n"
+         "                              groups by predicted cost, collect\n"
+         "                              their rows into byte-identical\n"
          "                              output; composes with --journal/\n"
          "                              --resume (per-child journals),\n"
          "                              --retries (respawn dead children,\n"
-         "                              resuming), and --allow-partial\n"
+         "                              resuming journals), --allow-partial\n"
          "      [--progress]            with --spawn: stream [i/k] child\n"
          "                              progress lines to stderr\n"
-         "      [--allow-partial]       with --spawn: merge with\n"
-         "                              status=missing rows when a child\n"
+         "      [--allow-partial]       with --spawn: status=missing rows\n"
+         "                              for the cells of a child that\n"
          "                              stays dead after all retries\n"
          "      [--journal DIR]         journal finished cells to DIR\n"
          "      [--resume DIR]          replay DIR's journal, then run only\n"
@@ -183,7 +183,8 @@ void print_usage(std::ostream& out) {
          "                              costs one group (status=failed),\n"
          "                              not the sweep (POSIX only)\n"
          "      [--retries K]           re-run a crashed isolated group up\n"
-         "                              to K extra times with backoff\n"
+         "                              to K extra times with backoff; also\n"
+         "                              respawns dead --spawn children\n"
          "      [--fault-plan PLAN]     deterministic fault injection; PLAN\n"
          "                              mixes runner directives (throw|\n"
          "                              stall|abort@CELL[:K], build@gG[:K])\n"
@@ -674,6 +675,14 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out,
   for (const std::string& s : spec.scenarios)
     if (is_file_scenario(s)) classify = true;
 
+  if (!exec.journal_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(exec.journal_dir, ec);
+    if (ec)
+      throw UsageError("cannot create journal directory '" +
+                       exec.journal_dir + "': " + ec.message());
+  }
+
   if (spawn_children > 0) {
     if (!spawn_supported())
       throw UsageError("--spawn needs a POSIX platform");
@@ -690,81 +699,14 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out,
 
   // Open every output before executing (fail on a bad path in O(1), not
   // after the sweep) and stream rows straight into the writers — the sweep
-  // itself is never resident in memory.  When both formats share one
-  // target (`--csv - --json -`), the JSON is buffered and emitted after
-  // the CSV completes, so the two documents land sequentially instead of
-  // interleaved.
-  if (!csv_path && !json_path) csv_path = "-";
-  // Canonicalize before comparing so `--csv out --json ./out` is detected
-  // as the same target too, not just byte-equal spellings.
-  auto canonical = [](const std::string& path) {
-    if (path == "-") return path;
-    std::error_code ec;
-    const auto canon = std::filesystem::weakly_canonical(path, ec);
-    return ec ? path : canon.string();
-  };
-  const bool shared_target = csv_path && json_path &&
-                             canonical(*csv_path) == canonical(*json_path);
-  std::ofstream csv_file, json_file;
-  std::ostringstream json_buffer;
-  auto open_or_stdout = [&](const std::string& path,
-                            std::ofstream& file) -> std::ostream& {
-    if (path == "-") return out;
-    file.open(path, std::ios::binary);
-    if (!file) throw UsageError("cannot open output file '" + path + "'");
-    return file;
-  };
-  // Network-fault accounting columns appear whenever a plan with net
-  // directives is active (flag or environment); the certified column
-  // whenever --certify is.  Defaults keep the historic byte-stable shape.
-  const FaultPlan* active_faults =
-      exec.fault_plan != nullptr ? exec.fault_plan : FaultPlan::from_env();
-  const bool fault_columns =
-      active_faults != nullptr && active_faults->has_net_faults();
-  std::optional<CsvWriter> csv;
-  std::optional<JsonWriter> json;
-  if (csv_path)
-    csv.emplace(open_or_stdout(*csv_path, csv_file), timing, exec.certify,
-                fault_columns, classify);
-  if (json_path)
-    json.emplace(shared_target
-                     ? static_cast<std::ostream&>(json_buffer)
-                     : open_or_stdout(*json_path, json_file),
-                 timing, exec.certify, fault_columns, classify);
-  if (csv) csv->begin(spec, total_cells);
-  if (json) json->begin(spec, total_cells);
-
-  if (!exec.journal_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(exec.journal_dir, ec);
-    if (ec)
-      throw UsageError("cannot create journal directory '" +
-                       exec.journal_dir + "': " + ec.message());
-  }
-
+  // itself is never resident in memory.
+  ReportTargets reports(csv_path, json_path, out, spec, total_cells, exec,
+                        timing, classify);
   const SweepSummary summary = run_sweep_stream(
-      spec,
-      [&](const CellResult& row) {
-        if (csv) csv->row(row);
-        if (json) json->row(row);
-      },
-      exec);
+      spec, [&](const CellResult& row) { reports.row(row); }, exec);
   // Peak RSS rides in the JSON meta only under --timing (it is as
   // host-dependent as wall clock; default output stays byte-stable).
-  if (json) json->end(timing ? util::peak_rss_mb() : -1.0);
-  if (shared_target) {
-    if (*json_path == "-") {
-      out << json_buffer.str();
-    } else {
-      // Matches the historical sequential-emit semantics: the JSON pass
-      // reopened (and truncated) the shared file after the CSV pass.
-      csv_file.close();
-      std::ofstream file(*json_path, std::ios::binary);
-      if (!file)
-        throw UsageError("cannot open output file '" + *json_path + "'");
-      file << json_buffer.str();
-    }
-  }
+  reports.end(util::peak_rss_mb());
 
   char wall[32];
   std::snprintf(wall, sizeof(wall), "%.0f", summary.wall_ms_total);
@@ -780,10 +722,7 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out,
     err << ", " << summary.unverified << " unverified";
   if (summary.replayed > 0) err << ", " << summary.replayed << " replayed";
   err << ", " << wall << " ms, " << spec.threads << " thread(s)\n";
-  return summary.failed == 0 && summary.timeout == 0 &&
-                 summary.infeasible == 0 && summary.unverified == 0
-             ? 0
-             : 1;
+  return summary.ok == summary.cells ? 0 : 1;
 }
 
 /// `import INPUT OUTPUT`: SNAP-style edge-list text in, validated .pgcsr

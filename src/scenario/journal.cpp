@@ -166,6 +166,7 @@ struct FieldWriter {
 };
 
 constexpr std::string_view kRecordTag = "C";
+constexpr std::string_view kTrailerTag = "T";
 // Bumped pgj1 -> pgj2 when the record gained the degree-regime fields: a
 // journal written by an older binary fails the header check and resume
 // refuses it outright instead of mixing wire formats.
@@ -214,6 +215,23 @@ bool decode_cell_record(std::string_view line, CellResult& row) {
   if (!fields.next(tag) || tag != kRecordTag) return false;
   row = CellResult{};
   return visit_record(row, fields) && fields.exhausted();
+}
+
+std::string encode_trailer_record(std::size_t replayed,
+                                  std::string_view error) {
+  std::string payload(kTrailerTag);
+  FieldWriter field{payload};
+  field(replayed);
+  field(std::string(error));
+  return with_checksum(std::move(payload));
+}
+
+bool decode_trailer_record(std::string_view line, std::size_t& replayed,
+                           std::string& error) {
+  FieldReader fields(checked_payload(line));
+  std::string_view tag;
+  return fields.next(tag) && tag == kTrailerTag && fields(replayed) &&
+         fields(error) && fields.exhausted();
 }
 
 std::string journal_header(const SweepSpec& spec, std::size_t total_cells,

@@ -1,5 +1,5 @@
 // Append-only sweep journal: the crash-recovery log behind
-// `sweep --resume` and the wire format of isolate-mode workers.
+// `sweep --resume` and the wire format of forked sweep children.
 //
 // A journaled sweep writes one record per *emitted* row, in emission
 // order.  Rows leave the runner in ascending cell_index order, so the
@@ -15,10 +15,10 @@
 // coordinates, grid size): resume refuses a journal written by a
 // different sweep instead of silently mixing rows.
 //
-// The same one-line record format carries rows from forked isolate-mode
-// children back to the parent over a pipe — a crashed child leaves at
-// worst a torn final line, which the parent detects exactly like a torn
-// journal tail.
+// The same one-line record format carries rows from forked children
+// (`--isolate` groups and `--spawn` shards alike) back to the parent over
+// a pipe — a crashed child leaves at worst a torn final line, which the
+// parent detects exactly like a torn journal tail.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +39,15 @@ std::string encode_cell_record(const CellResult& row);
 /// leaving `row` unspecified — on any corruption: bad checksum, wrong
 /// field count, malformed numbers.
 bool decode_cell_record(std::string_view line, CellResult& row);
+
+/// The line a forked child sends after its rows, in the same framing:
+/// what rows cannot carry — how many it replayed from its journal, and a
+/// fatal error's text (empty when it finished).  Decoding fails on
+/// corruption or a non-trailer line.
+std::string encode_trailer_record(std::size_t replayed,
+                                  std::string_view error);
+bool decode_trailer_record(std::string_view line, std::size_t& replayed,
+                           std::string& error);
 
 /// The journal header line for a sweep (also checksummed).  `mode` pins
 /// row-semantics toggles that the spec fingerprint cannot see — the

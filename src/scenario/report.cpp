@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <filesystem>
 #include <ostream>
 #include <sstream>
 #include <type_traits>
 #include <utility>
 #include <variant>
 
+#include "scenario/fault.hpp"
 #include "util/hash.hpp"
 
 namespace pg::scenario {
@@ -319,6 +321,64 @@ void CsvWriter::row(const CellResult& cell) {
   out_ << buffer_;
 }
 
+// --------------------------------------------------------- targets ---
+
+ReportTargets::ReportTargets(std::optional<std::string> csv_path,
+                             std::optional<std::string> json_path,
+                             std::ostream& out, const SweepSpec& spec,
+                             std::size_t total_cells, const ExecOptions& exec,
+                             bool timing, bool classify)
+    : out_(out) {
+  if (!csv_path && !json_path) csv_path = "-";
+  // Canonicalize before comparing so `--csv out --json ./out` is detected
+  // as the same target too, not just byte-equal spellings — absolute
+  // first, or a not-yet-existing relative file keeps its spelling.
+  auto canonical = [](const std::string& path) {
+    if (path == "-") return path;
+    std::error_code ec;
+    const auto canon = std::filesystem::weakly_canonical(
+        std::filesystem::absolute(path, ec), ec);
+    return ec ? path : canon.string();
+  };
+  const bool shared = csv_path && json_path &&
+                      canonical(*csv_path) == canonical(*json_path);
+  // Matches the historical sequential-emit semantics: a file both
+  // documents name ends up holding the JSON alone, as if written second.
+  if (shared && *json_path != "-") csv_path.reset();
+  auto open = [&](const std::string& path,
+                  std::ofstream& file) -> std::ostream& {
+    if (path == "-") return out;
+    file.open(path, std::ios::binary);
+    if (!file)
+      throw PreconditionViolation("cannot open output file '" + path + "'");
+    return file;
+  };
+  // Network-fault accounting columns appear whenever a plan with net
+  // directives is active (flag or environment); the certified column
+  // whenever --certify is.  Defaults keep the historic byte-stable shape.
+  const FaultPlan* faults =
+      exec.fault_plan != nullptr ? exec.fault_plan : FaultPlan::from_env();
+  const bool fault_columns = faults != nullptr && faults->has_net_faults();
+  if (csv_path)
+    csv_.emplace(open(*csv_path, csv_file_), timing, exec.certify,
+                 fault_columns, classify);
+  if (json_path)
+    json_.emplace(shared && csv_ ? json_buffer_ : open(*json_path, json_file_),
+                  timing, exec.certify, fault_columns, classify);
+  if (csv_) csv_->begin(spec, total_cells);
+  if (json_) json_->begin(spec, total_cells);
+}
+
+void ReportTargets::row(const CellResult& cell) {
+  if (csv_) csv_->row(cell);
+  if (json_) json_->row(cell);
+}
+
+void ReportTargets::end(double peak_rss_mb) {
+  if (json_) json_->end(peak_rss_mb);
+  out_ << json_buffer_.str();  // empty unless the JSON waited for the CSV
+}
+
 void write_csv(std::ostream& out, const SweepResult& result,
                bool include_timing) {
   CsvWriter writer(out, include_timing);
@@ -387,6 +447,21 @@ std::string json_string(const SweepResult& result, bool include_timing) {
 
 // ----------------------------------------------------------------- merge ---
 
+CellResult missing_cell(std::uint64_t index) {
+  CellResult cell;
+  cell.cell_index = index;
+  cell.spec.scenario = "-";
+  cell.spec.algorithm = "-";
+  cell.spec.n = 0;
+  cell.spec.r = 0;
+  cell.spec.epsilon_used = false;
+  cell.spec.weights_used = false;
+  cell.spec.seed = 0;
+  cell.status = CellStatus::kMissing;
+  cell.error = "no shard report covered this cell";
+  return cell;
+}
+
 namespace {
 
 [[noreturn]] void merge_fail(const std::string& what) {
@@ -426,24 +501,6 @@ struct ShardRows {
   ShardStamp stamp;
   std::vector<std::pair<std::uint64_t, std::string>> rows;
 };
-
-/// The placeholder row `--allow-partial` synthesizes for a grid cell no
-/// surviving shard report covered.  Rendered through the column table so
-/// its bytes track the row format exactly.
-CellResult missing_cell(std::uint64_t index) {
-  CellResult cell;
-  cell.cell_index = index;
-  cell.spec.scenario = "-";
-  cell.spec.algorithm = "-";
-  cell.spec.n = 0;
-  cell.spec.r = 0;
-  cell.spec.epsilon_used = false;
-  cell.spec.weights_used = false;
-  cell.spec.seed = 0;
-  cell.status = CellStatus::kMissing;
-  cell.error = "no shard report covered this cell";
-  return cell;
-}
 
 /// Shared tail of both mergers: validate that the stamps form one
 /// complete partition (same spec, same shard count, every shard exactly

@@ -20,7 +20,9 @@
 // grid exactly, and reproduce the single-process report byte for byte.
 #pragma once
 
-#include <iosfwd>
+#include <fstream>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -86,6 +88,34 @@ class JsonWriter {
   bool first_row_ = true;
 };
 
+/// A sweep's `--csv`/`--json` targets as one row sink: nullopt = not
+/// requested, "-" = `out`, and the CSV goes to `out` when neither is.
+/// Files open, and headers are written for `spec` (`total_cells` grid
+/// cells), at construction, so a bad path fails before any work.  When
+/// both name `out`, the JSON is buffered and lands after the CSV; when
+/// both name one file (any spelling), the file gets the JSON alone.  The
+/// optional column blocks follow `exec` (certify; network faults of the
+/// active fault plan) and `timing`/`classify`.
+class ReportTargets {
+ public:
+  ReportTargets(std::optional<std::string> csv_path,
+                std::optional<std::string> json_path, std::ostream& out,
+                const SweepSpec& spec, std::size_t total_cells,
+                const ExecOptions& exec, bool timing, bool classify);
+
+  void row(const CellResult& cell);
+  /// Closes the documents; `peak_rss_mb` lands in the JSON meta block
+  /// only under timing (see JsonWriter::end).
+  void end(double peak_rss_mb);
+
+ private:
+  std::ostream& out_;
+  std::ofstream csv_file_, json_file_;
+  std::ostringstream json_buffer_;  // a JSON sharing `out` with the CSV
+  std::optional<CsvWriter> csv_;
+  std::optional<JsonWriter> json_;
+};
+
 void write_csv(std::ostream& out, const SweepResult& result,
                bool include_timing = false);
 void write_json(std::ostream& out, const SweepResult& result,
@@ -94,6 +124,11 @@ void write_json(std::ostream& out, const SweepResult& result,
 std::string csv_string(const SweepResult& result, bool include_timing = false);
 std::string json_string(const SweepResult& result,
                         bool include_timing = false);
+
+/// The placeholder row `--allow-partial` synthesizes for grid cell
+/// `index` when no surviving shard covered it (status=missing).  Rendered
+/// through the column table like any row, so its bytes track the format.
+CellResult missing_cell(std::uint64_t index);
 
 /// Merges per-shard CSV reports (file *contents*, any order) back into
 /// the byte-identical single-process report.  Throws

@@ -7,20 +7,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <thread>
 #include <tuple>
 #include <utility>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define PG_HAS_FORK_ISOLATION 1
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#include <cerrno>
-#else
-#define PG_HAS_FORK_ISOLATION 0
-#endif
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -35,6 +26,7 @@
 #include "scenario/fault.hpp"
 #include "scenario/journal.hpp"
 #include "scenario/scenario.hpp"
+#include "scenario/spawn.hpp"
 #include "scenario/weights.hpp"
 #include "util/cancel.hpp"
 #include "solvers/exact_ds.hpp"
@@ -200,7 +192,7 @@ struct GroupEnv {
   const FaultPlan* faults = nullptr;   // scripted failures (null = none)
   Watchdog* watchdog = nullptr;        // armed per cell when budgeted
   std::size_t worker = 0;              // this worker's watchdog slot
-  int attempt = 0;                     // isolate-mode retry attempt
+  int attempt = 0;                     // child_attempt() of this process
   std::uint64_t group_index = 0;       // global group index (build@g faults)
   // Called after each cell's row is final (isolate children stream rows
   // up their pipe from here, so a later crash keeps earlier cells).
@@ -839,146 +831,6 @@ void run_group(const std::vector<CellSpec>& cells,
   }
 }
 
-#if PG_HAS_FORK_ISOLATION
-
-std::string describe_child_exit(int status) {
-  if (WIFSIGNALED(status))
-    return "worker process killed by signal " +
-           std::to_string(WTERMSIG(status));
-  if (WIFEXITED(status))
-    return "worker process exited with status " +
-           std::to_string(WEXITSTATUS(status));
-  return "worker process ended abnormally";
-}
-
-/// Runs one group in a forked child, which streams each finished row up a
-/// pipe in the journal's checksummed record format.  A crash (abort,
-/// segfault, OOM-kill) therefore costs only the cells the child had not
-/// yet written: the intact prefix is kept, the remainder becomes
-/// status=failed rows, and `opts.retries` grants crashed groups fresh
-/// attempts with exponential backoff.  Returns false when fork/pipe are
-/// unavailable so the caller can degrade to in-process execution.
-bool run_group_isolated(const std::vector<CellSpec>& cells,
-                        std::size_t first_global_index,
-                        VertexId exact_baseline_max_n, int congest_threads,
-                        const ExecOptions& opts, const FaultPlan* faults,
-                        std::uint64_t group_index, CellResult* results) {
-  const int attempts = 1 + std::max(0, opts.retries);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0 && opts.retry_backoff_ms > 0.0)
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          opts.retry_backoff_ms * static_cast<double>(1 << (attempt - 1))));
-    int fds[2];
-    if (::pipe(fds) != 0) return false;
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(fds[0]);
-      ::close(fds[1]);
-      return false;
-    }
-    if (pid == 0) {
-      // Child: run the group with a watchdog of its own (monitor threads
-      // do not survive fork), stream rows as they finish, and _exit
-      // without unwinding any parent state.
-      ::close(fds[0]);
-      {
-        std::unique_ptr<Watchdog> watchdog;
-        if (opts.cell_timeout_ms > 0.0 || opts.budget_ms)
-          watchdog = std::make_unique<Watchdog>(1);
-        GroupEnv env;
-        env.opts = &opts;
-        env.faults = faults;
-        env.watchdog = watchdog.get();
-        env.worker = 0;
-        env.attempt = attempt;
-        env.group_index = group_index;
-        env.on_cell = [&fds](const CellResult& row) {
-          std::string line = encode_cell_record(row);
-          line += '\n';
-          const char* data = line.data();
-          std::size_t left = line.size();
-          while (left > 0) {
-            const ssize_t wrote = ::write(fds[1], data, left);
-            if (wrote < 0) {
-              if (errno == EINTR) continue;
-              ::_exit(3);  // parent gone; nothing sensible left to do
-            }
-            data += static_cast<std::size_t>(wrote);
-            left -= static_cast<std::size_t>(wrote);
-          }
-        };
-        std::vector<CellResult> rows(cells.size());
-        // The child builds its own simulators (and therefore its own
-        // worker pools — WorkerPool is not fork-safe, and none existed
-        // pre-fork anyway because the parent never touches a Network in
-        // isolate mode).
-        run_group(cells, first_global_index, exact_baseline_max_n,
-                  /*pool=*/nullptr, /*power_threads=*/1, congest_threads,
-                  /*keep_solutions=*/false, env, rows.data());
-      }
-      ::_exit(0);
-    }
-    // Parent: drain the pipe to EOF (the child's exit closes its end),
-    // then reap the child.
-    ::close(fds[1]);
-    std::string data;
-    char buffer[4096];
-    for (;;) {
-      const ssize_t got = ::read(fds[0], buffer, sizeof(buffer));
-      if (got > 0) {
-        data.append(buffer, static_cast<std::size_t>(got));
-        continue;
-      }
-      if (got < 0 && errno == EINTR) continue;
-      break;
-    }
-    ::close(fds[0]);
-    int status = 0;
-    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-    }
-
-    // Decode the intact row prefix.  A crash can tear at most the final
-    // line, which the record checksum rejects exactly like a torn
-    // journal tail.
-    std::vector<CellResult> rows;
-    std::size_t pos = 0;
-    while (pos < data.size() && rows.size() < cells.size()) {
-      const std::size_t nl = data.find('\n', pos);
-      if (nl == std::string::npos) break;
-      CellResult row;
-      if (!decode_cell_record(std::string_view(data).substr(pos, nl - pos),
-                              row))
-        break;
-      if (row.cell_index != first_global_index + rows.size()) break;
-      rows.push_back(std::move(row));
-      pos = nl + 1;
-    }
-
-    const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0 &&
-                       rows.size() == cells.size();
-    if (!clean && attempt + 1 < attempts) continue;  // crashed: retry
-    if (clean) {
-      for (std::size_t i = 0; i < cells.size(); ++i)
-        results[i] = std::move(rows[i]);
-      return true;
-    }
-    // Out of attempts: keep what the child managed, fail the rest.
-    const std::string why = describe_child_exit(status) + " (" +
-                            std::to_string(attempts) + " attempt(s))";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (i < rows.size())
-        results[i] = std::move(rows[i]);
-      else
-        fail_cell(results[i], cells[i], first_global_index + i,
-                  CellStatus::kFailed, why, 0.0);
-    }
-    return true;
-  }
-  return false;  // unreachable: the loop always returns on its last pass
-}
-
-#endif  // PG_HAS_FORK_ISOLATION
-
 }  // namespace
 
 void validate_spec(const SweepSpec& spec) {
@@ -1098,6 +950,27 @@ CellResult run_cell_on(GraphView base, const CellSpec& cell,
   return result;
 }
 
+void SweepSummary::tally(const CellResult& row) {
+  ++cells;
+  switch (row.status) {
+    case CellStatus::kOk:
+      if (row.feasible)
+        ++ok;
+      else
+        ++infeasible;
+      break;
+    case CellStatus::kTimeout:
+      ++timeout;
+      break;
+    case CellStatus::kUnverified:
+      ++unverified;
+      break;
+    default:
+      ++failed;
+      break;
+  }
+}
+
 SweepSummary run_sweep_stream(const SweepSpec& spec, const RowSink& sink,
                               const ExecOptions& opts) {
   const auto started = std::chrono::steady_clock::now();
@@ -1140,27 +1013,6 @@ SweepSummary run_sweep_stream(const SweepSpec& spec, const RowSink& sink,
   SweepSummary summary;
   summary.total_cells = per_group * num_groups;
 
-  auto count_row = [&summary](const CellResult& row) {
-    ++summary.cells;
-    switch (row.status) {
-      case CellStatus::kOk:
-        if (row.feasible)
-          ++summary.ok;
-        else
-          ++summary.infeasible;
-        break;
-      case CellStatus::kTimeout:
-        ++summary.timeout;
-        break;
-      case CellStatus::kUnverified:
-        ++summary.unverified;
-        break;
-      default:
-        ++summary.failed;
-        break;
-    }
-  };
-
   // ------------------------------------------------- journal + resume ---
   // Rows leave the ring in ascending cell_index order, so the journal is
   // always a strict prefix of this shard's cell sequence: resume replays
@@ -1199,7 +1051,7 @@ SweepSummary run_sweep_stream(const SweepSpec& spec, const RowSink& sink,
         path, spec, summary.total_cells, resume_bytes, journal_mode);
     summary.replayed = replayed.size();
     for (const CellResult& row : replayed) {
-      count_row(row);
+      summary.tally(row);
       if (sink) sink(row);
     }
   }
@@ -1254,7 +1106,7 @@ SweepSummary run_sweep_stream(const SweepSpec& spec, const RowSink& sink,
       std::vector<CellResult> batch = std::move(slot.rows);
       slot.rows = std::vector<CellResult>();
       slot.done = false;
-      for (const CellResult& row : batch) count_row(row);
+      for (const CellResult& row : batch) summary.tally(row);
       ++next_emit;
       emit_advanced.notify_all();
       // Row formatting/file I/O happens outside the lock so other workers
@@ -1288,27 +1140,60 @@ SweepSummary run_sweep_stream(const SweepSpec& spec, const RowSink& sink,
     const std::size_t g = group_of_rank(rank);
     stamp_group(spec, g, group);
     std::vector<CellResult> rows(per_group);
-    bool done = false;
     // Same budgeting rule as power_threads: a multi-worker sweep is
     // already machine-saturating, so each simulator stays serial; the
     // knob bites in the threads == 1 regime (one huge CONGEST cell).
     const int congest_threads = workers > 1 ? 1 : spec.congest_threads;
-#if PG_HAS_FORK_ISOLATION
-    if (opts.isolate)
-      done = run_group_isolated(group, g * per_group,
-                                spec.exact_baseline_max_n, congest_threads,
-                                opts, faults, g, rows.data());
-#endif
-    if (!done) {
+    auto run_here = [&](NetworkPool* group_pool, int power_threads,
+                        Watchdog* group_watchdog, std::size_t slot,
+                        const RowSink& on_cell) {
       GroupEnv env;
       env.opts = &opts;
       env.faults = faults;
-      env.watchdog = watchdog.get();
-      env.worker = worker_id;
+      env.watchdog = group_watchdog;
+      env.worker = slot;
+      env.attempt = child_attempt();
       env.group_index = g;
-      run_group(group, g * per_group, spec.exact_baseline_max_n, &pool,
-                workers > 1 ? 1 : 0, congest_threads,
-                /*keep_solutions=*/false, env, rows.data());
+      env.on_cell = on_cell;
+      run_group(group, g * per_group, spec.exact_baseline_max_n, group_pool,
+                power_threads, congest_threads, /*keep_solutions=*/false, env,
+                rows.data());
+    };
+    ChildRun isolated;
+    if (opts.isolate) {
+      std::vector<std::size_t> indices(per_group);
+      std::iota(indices.begin(), indices.end(), g * per_group);
+      isolated = std::move(
+          run_children(
+              {indices}, opts.retries, opts.retry_backoff_ms,
+              [&](std::size_t, const RowSink& emit) -> std::size_t {
+                // Monitor threads do not survive fork, so the child arms
+                // a watchdog of its own; it also builds its own
+                // simulators (WorkerPool is not fork-safe).
+                std::unique_ptr<Watchdog> child_watchdog;
+                if (opts.cell_timeout_ms > 0.0 || opts.budget_ms)
+                  child_watchdog = std::make_unique<Watchdog>(1);
+                run_here(nullptr, 1, child_watchdog.get(), 0, emit);
+                return 0;
+              })
+              .front());
+    }
+    if (isolated.attempts > 0) {
+      // Keep the intact prefix the child streamed; fail the rest.
+      const std::string why = isolated.exit_text + " (" +
+                              std::to_string(isolated.attempts) +
+                              " attempt(s))";
+      for (std::size_t i = 0; i < per_group; ++i) {
+        if (i < isolated.rows.size())
+          rows[i] = std::move(isolated.rows[i]);
+        else
+          fail_cell(rows[i], group[i], g * per_group + i,
+                    CellStatus::kFailed, why, 0.0);
+      }
+    } else {
+      // In-process — also the fallback when fork itself failed.
+      run_here(&pool, workers > 1 ? 1 : 0, watchdog.get(), worker_id,
+               nullptr);
     }
     finish_group(rank, std::move(rows));
   };

@@ -194,6 +194,10 @@ struct SweepSummary {
   std::size_t replayed = 0;  // rows restored from the journal by --resume
   std::size_t total_cells = 0;  // full-grid cell count (all shards)
   double wall_ms_total = 0.0;
+
+  /// Counts one emitted row: `cells` plus the tally its status (and, for
+  /// ok rows, its feasibility) falls under.
+  void tally(const CellResult& row);
 };
 
 /// Receives finished rows in ascending cell_index order.
@@ -228,8 +232,8 @@ struct ExecOptions {
   /// segfault, OOM-kill) costs one group — its cells become status=failed
   /// rows — instead of the whole sweep.  POSIX only; ignored elsewhere.
   bool isolate = false;
-  /// Extra attempts for a group whose isolated child crashed, with
-  /// exponential backoff between attempts.  Only meaningful with isolate.
+  /// Extra attempts for a group whose isolated child crashed, attempt a
+  /// after retry_backoff_ms · 2^(a-1).  Only meaningful with isolate.
   int retries = 0;
   double retry_backoff_ms = 50.0;
 

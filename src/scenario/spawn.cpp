@@ -1,34 +1,32 @@
 #include "scenario/spawn.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
+#include <mutex>
 #include <ostream>
-#include <sstream>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
-#define PG_HAS_SPAWN 1
-#include <fcntl.h>
+#define PG_HAS_FORK 1
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #include <cerrno>
-#include <csignal>
 #else
-#define PG_HAS_SPAWN 0
+#define PG_HAS_FORK 0
 #endif
 
-#include "scenario/fault.hpp"
+#include "scenario/journal.hpp"
 #include "scenario/report.hpp"
 #include "util/check.hpp"
-#include "util/rss.hpp"
 
 namespace pg::scenario {
 
-bool spawn_supported() { return PG_HAS_SPAWN != 0; }
+bool spawn_supported() { return PG_HAS_FORK != 0; }
 
 SpawnPlan plan_spawn(const SweepSpec& spec, int children,
                      const std::function<double(const CellSpec&)>& budget_ms) {
@@ -79,231 +77,249 @@ SpawnPlan plan_spawn(const SweepSpec& spec, int children,
   return plan;
 }
 
-#if PG_HAS_SPAWN
+namespace {
+
+// This process's place in the child engine: the retry attempt it runs
+// as, and the write end of its pipe to the engine that forked it (-1 in a
+// process the engine did not fork).
+int self_attempt = 0;
+int self_fd = -1;
+
+}  // namespace
+
+int child_attempt() { return self_attempt; }
+
+#if PG_HAS_FORK
 
 namespace {
 
-/// Wire lines a child sends up its progress pipe:
-///   p <done> <total>                              progress tick
-///   s <cells> <ok> <inf> <fail> <to> <unver> <replay> <rss_mb> <wall_ms>
-///                                                 summary
-///   e <message>                                   fatal error text
-/// At most ~50 `p` lines per child, so a slow parent never backs the
-/// pipe up past its buffer and children never block on reporting.
-void pipe_line(int fd, const std::string& line) {
-  std::string framed = line;
-  framed.push_back('\n');
-  std::size_t off = 0;
-  while (off < framed.size()) {
-    const ssize_t wrote =
-        ::write(fd, framed.data() + off, framed.size() - off);
-    if (wrote <= 0) {
+using Clock = std::chrono::steady_clock;
+
+/// Serializes pipe + fork + closing the parent's write end, so a child
+/// forked from one worker thread never inherits another thread's fresh
+/// write end (which would hold that job's EOF until the inheritor exits).
+std::mutex fork_mutex;
+
+std::string describe_exit(int status) {
+  if (WIFSIGNALED(status))
+    return "worker process killed by signal " +
+           std::to_string(WTERMSIG(status));
+  return "worker process exited with status " +
+         std::to_string(WEXITSTATUS(status));
+}
+
+/// Writes one line up the pipe; a parent that is gone ends the child.
+void send_line(int fd, std::string line) {
+  line += '\n';
+  const char* data = line.data();
+  std::size_t left = line.size();
+  while (left > 0) {
+    const ssize_t wrote = ::write(fd, data, left);
+    if (wrote < 0) {
       if (errno == EINTR) continue;
-      return;  // parent is gone; keep computing, the journal has the rows
+      ::_exit(3);
     }
-    off += static_cast<std::size_t>(wrote);
+    data += wrote;
+    left -= static_cast<std::size_t>(wrote);
   }
 }
 
-std::string shard_file_stem(int index, int count) {
-  return "shard-" + std::to_string(index) + "-of-" + std::to_string(count);
-}
-
-/// The forked shard worker: runs its slice of the grid exactly like
-/// `sweep --shard i/k` would, with the cost-balanced group list swapped
-/// in for the round-robin deal, then _exit()s without touching any
-/// parent-inherited stream state (files are flushed explicitly; _exit
-/// skips atexit and stdio flushing on purpose — the parent owns those
-/// buffers).
-[[noreturn]] void run_child(const SweepSpec& spec, const ExecOptions& exec,
-                            bool timing, bool classify,
-                            const std::string& csv_file,
-                            const std::string& json_file, int pipe_fd) {
-  int code = 2;
+/// The forked side: run the body, stream its rows and then the trailer,
+/// and _exit without unwinding parent-inherited state (stdio buffers,
+/// atexit handlers and threads belong to the parent).
+[[noreturn]] void child_main(std::size_t job, int attempt, int fd,
+                             const ChildBody& body) {
+  if (self_fd >= 0) ::close(self_fd);  // our parent's pipe is not ours
+  self_attempt = attempt;
+  self_fd = fd;
+  std::size_t replayed = 0;
+  std::string error = "non-standard exception in child";
   try {
-    std::ofstream csv(csv_file, std::ios::binary);
-    std::ofstream json(json_file, std::ios::binary);
-    if (!csv || !json)
-      throw PreconditionViolation("cannot open shard report file");
-    // Children inherit the parent's certify/fault modes through the
-    // forked ExecOptions; their shard reports must carry the matching
-    // optional columns or the merge would produce ragged rows.
-    const FaultPlan* faults =
-        exec.fault_plan != nullptr ? exec.fault_plan : FaultPlan::from_env();
-    const bool fault_columns = faults != nullptr && faults->has_net_faults();
-    CsvWriter csv_writer(csv, timing, exec.certify, fault_columns, classify);
-    JsonWriter json_writer(json, timing, exec.certify, fault_columns,
-                           classify);
-    const std::size_t mine = shard_cell_indices(spec).size();
-    const std::size_t total = count_grid_cells(spec);
-    csv_writer.begin(spec, total);
-    json_writer.begin(spec, total);
-
-    std::size_t done = 0;
-    int last_tick = -1;
-    const SweepSummary summary = run_sweep_stream(
-        spec,
-        [&](const CellResult& row) {
-          csv_writer.row(row);
-          json_writer.row(row);
-          ++done;
-          const int tick =
-              mine ? static_cast<int>(done * 50 / mine) : 50;
-          if (tick != last_tick) {
-            last_tick = tick;
-            pipe_line(pipe_fd, "p " + std::to_string(done) + " " +
-                                   std::to_string(mine));
-          }
-        },
-        exec);
-    const double rss = util::peak_rss_mb();
-    json_writer.end(timing ? rss : -1.0);
-    csv.flush();
-    json.flush();
-    if (!csv || !json)
-      throw PreconditionViolation("short write on shard report file");
-    csv.close();
-    json.close();
-
-    std::ostringstream s;
-    s << "s " << summary.cells << ' ' << summary.ok << ' '
-      << summary.infeasible << ' ' << summary.failed << ' '
-      << summary.timeout << ' ' << summary.unverified << ' '
-      << summary.replayed << ' ';
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.1f %.0f", rss,
-                  summary.wall_ms_total);
-    s << buffer;
-    pipe_line(pipe_fd, s.str());
-    code = summary.failed == 0 && summary.timeout == 0 &&
-                   summary.infeasible == 0 && summary.unverified == 0
-               ? 0
-               : 1;
-  } catch (const std::exception& error) {
-    pipe_line(pipe_fd, std::string("e ") + error.what());
+    replayed = body(job, [fd](const CellResult& row) {
+      send_line(fd, encode_cell_record(row));
+    });
+    error.clear();
+  } catch (const std::exception& e) {
+    error = e.what();
   } catch (...) {
-    pipe_line(pipe_fd, "e non-standard exception in shard child");
   }
-  ::close(pipe_fd);
-  ::_exit(code);
+  send_line(fd, encode_trailer_record(replayed, error));
+  ::_exit(error.empty() ? 0 : 2);
 }
 
-struct Child {
-  int index = 0;  // 1-based shard index
+/// Parent-side state of one job.
+struct Slot {
   pid_t pid = -1;
-  int fd = -1;  // read end of the progress pipe; -1 once drained
-  std::string buffer;
-  bool complete = false;  // exited 0/1 with a flushed report
-  bool summarized = false;
-  int attempts = 0;
-  std::string last_error;
-  SweepSummary summary;
-  double rss_mb = 0.0;
+  int fd = -1;            // read end while a child runs
+  std::string pending;    // bytes past the last complete line
+  bool torn = false;      // a line failed to decode: drop the rest
+  // When the next launch is due (initially at once); max() while a
+  // child runs or once the job has settled for good.
+  Clock::time_point due;
 };
 
-/// Parses one child wire line into the child record; returns the text to
-/// surface on the progress stream (empty: nothing to print).
-std::string consume_line(Child& child, const std::string& line,
-                         bool progress) {
-  std::istringstream in(line);
-  std::string tag;
-  in >> tag;
-  if (tag == "p") {
-    std::uint64_t done = 0, total = 0;
-    in >> done >> total;
-    if (!progress) return "";
-    return "cells " + std::to_string(done) + "/" + std::to_string(total);
-  }
-  if (tag == "s") {
-    in >> child.summary.cells >> child.summary.ok >>
-        child.summary.infeasible >> child.summary.failed >>
-        child.summary.timeout >> child.summary.unverified >>
-        child.summary.replayed >> child.rss_mb >>
-        child.summary.wall_ms_total;
-    child.summarized = !in.fail();
-    if (!progress) return "";
-    std::ostringstream text;
-    text << "done: " << child.summary.cells << " cells";
-    if (child.summary.replayed > 0)
-      text << " (" << child.summary.replayed << " replayed)";
-    char rss[32];
-    std::snprintf(rss, sizeof(rss), "%.1f", child.rss_mb);
-    text << ", peak rss " << rss << " MB";
-    return text.str();
-  }
-  if (tag == "e") {
-    child.last_error = line.substr(2);
-    return "error: " + child.last_error;
-  }
-  return "";
-}
+}  // namespace
 
-/// Reads every live progress pipe until EOF, surfacing lines as they
-/// arrive, then reaps the children.  Returns after all pids are waited.
-void stream_and_reap(std::vector<Child*>& running, bool progress,
-                     int shard_count, std::ostream& err) {
-  std::vector<pollfd> fds;
-  for (;;) {
-    fds.clear();
-    for (Child* child : running)
-      if (child->fd >= 0) fds.push_back({child->fd, POLLIN, 0});
-    if (fds.empty()) break;
-    if (::poll(fds.data(), fds.size(), -1) < 0) {
-      if (errno == EINTR) continue;
-      break;
+std::vector<ChildRun> run_children(
+    const std::vector<std::vector<std::size_t>>& cells, int retries,
+    double backoff_ms, const ChildBody& body, const ChildEvents& events) {
+  const std::size_t jobs = cells.size();
+  std::vector<ChildRun> runs(jobs);
+  std::vector<Slot> slots(jobs);
+  std::size_t live = jobs;  // jobs not yet settled for good
+
+  auto launch = [&](std::size_t j) {
+    Slot& slot = slots[j];
+    ChildRun& run = runs[j];
+    slot.due = Clock::time_point::max();
+    int ends[2];
+    pid_t pid = -1;
+    {
+      std::unique_lock<std::mutex> lock(fork_mutex);
+      if (::pipe(ends) != 0) return false;
+      pid = ::fork();
+      if (pid == 0) {
+        lock.unlock();
+        ::close(ends[0]);
+        child_main(j, run.attempts, ends[1], body);
+      }
+      ::close(ends[1]);
     }
-    std::size_t at = 0;
-    for (Child* child : running) {
-      if (child->fd < 0) continue;
-      const pollfd& pfd = fds[at++];
-      if ((pfd.revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      char chunk[4096];
-      const ssize_t got = ::read(child->fd, chunk, sizeof(chunk));
-      if (got > 0) {
-        child->buffer.append(chunk, static_cast<std::size_t>(got));
-        std::size_t nl;
-        while ((nl = child->buffer.find('\n')) != std::string::npos) {
-          const std::string text = consume_line(
-              *child, child->buffer.substr(0, nl), progress);
-          child->buffer.erase(0, nl + 1);
-          if (!text.empty())
-            err << "[" << child->index << "/" << shard_count << "] " << text
-                << "\n";
-        }
-      } else if (got == 0 || errno != EINTR) {
-        ::close(child->fd);
-        child->fd = -1;
+    if (pid < 0) {
+      ::close(ends[0]);
+      return false;
+    }
+    slot.pid = pid;
+    slot.fd = ends[0];
+    slot.pending.clear();
+    slot.torn = false;
+    run.rows.clear();
+    run.exit_text.clear();
+    run.replayed = 0;
+    if (events.launched) events.launched(j, run.attempts, pid);
+    ++run.attempts;
+    return true;
+  };
+
+  // Decodes every complete line: rows while they arrive in the job's
+  // cell order, then the trailer.  A crash tears at most the last line,
+  // which the record checksum rejects like a torn journal tail.
+  auto receive = [&](std::size_t j, std::string_view bytes) {
+    Slot& slot = slots[j];
+    ChildRun& run = runs[j];
+    slot.pending.append(bytes);
+    std::size_t from = 0;
+    for (std::size_t nl; (nl = slot.pending.find('\n', from)) !=
+                         std::string::npos;
+         from = nl + 1) {
+      if (slot.torn) continue;
+      const std::string_view line(slot.pending.data() + from, nl - from);
+      CellResult row;
+      if (run.rows.size() < cells[j].size() &&
+          decode_cell_record(line, row) &&
+          row.cell_index == cells[j][run.rows.size()]) {
+        run.rows.push_back(std::move(row));
+        if (events.streamed) events.streamed(j, run);
+      } else {
+        slot.torn = !decode_trailer_record(line, run.replayed, run.exit_text);
       }
     }
-  }
-  for (Child* child : running) {
+    slot.pending.erase(0, from);
+  };
+
+  // The child closed its pipe, so it has exited (or is about to): reap
+  // it and either settle the job or schedule its next attempt.
+  auto reap = [&](std::size_t j) {
+    Slot& slot = slots[j];
+    ChildRun& run = runs[j];
+    ::close(slot.fd);
+    slot.fd = -1;
     int status = 0;
-    while (::waitpid(child->pid, &status, 0) < 0 && errno == EINTR) {
+    struct rusage usage {};
+    while (::wait4(slot.pid, &status, 0, &usage) < 0 && errno == EINTR) {
     }
-    child->pid = -1;
-    if (WIFEXITED(status) && WEXITSTATUS(status) <= 1) {
-      child->complete = true;
-    } else if (WIFSIGNALED(status)) {
-      child->last_error =
-          "child killed by signal " + std::to_string(WTERMSIG(status));
-    } else if (child->last_error.empty()) {
-      child->last_error = "child exited abnormally";
+#if defined(__APPLE__)
+    run.peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1048576.0;
+#else
+    run.peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB
+#endif
+    run.clean = WIFEXITED(status) && WEXITSTATUS(status) == 0 &&
+                run.rows.size() == cells[j].size();
+    if (!run.clean && run.exit_text.empty())  // no error in the trailer
+      run.exit_text = describe_exit(status);
+    const bool retrying = !run.clean && run.attempts <= retries;
+    if (events.settled) events.settled(j, run, retrying);
+    if (!retrying) {
+      --live;
+      return;
+    }
+    // Attempt a waits backoff_ms · 2^(a-1); the exponent stops at 16 so
+    // the deadline stays a representable poll timeout.
+    slot.due = Clock::now() +
+               std::chrono::duration_cast<Clock::duration>(
+                   std::chrono::duration<double, std::milli>(std::ldexp(
+                       std::max(backoff_ms, 0.0),
+                       std::min(run.attempts - 1, 16))));
+  };
+
+  std::vector<pollfd> polled;
+  while (live > 0) {
+    // Launch every job whose deadline has passed; the earliest future
+    // deadline bounds the poll below.
+    const Clock::time_point now = Clock::now();
+    int timeout_ms = -1;
+    for (std::size_t j = 0; j < jobs; ++j) {
+      if (slots[j].due == Clock::time_point::max()) continue;
+      if (slots[j].due > now) {
+        const int wait = static_cast<int>(
+            std::chrono::ceil<std::chrono::milliseconds>(slots[j].due - now)
+                .count());
+        timeout_ms = timeout_ms < 0 ? wait : std::min(timeout_ms, wait);
+      } else if (!launch(j)) {
+        runs[j].exit_text = "fork failed";
+        --live;
+      }
+    }
+    polled.clear();
+    for (const Slot& slot : slots)
+      if (slot.fd >= 0) polled.push_back({slot.fd, POLLIN, 0});
+    if (polled.empty() && timeout_ms < 0) break;
+    // <= 0: a relaunch came due, or a signal interrupted the wait.
+    if (::poll(polled.data(), polled.size(), timeout_ms) <= 0) continue;
+    std::size_t at = 0;
+    for (std::size_t j = 0; j < jobs; ++j) {
+      if (slots[j].fd < 0 || polled[at++].revents == 0) continue;
+      char chunk[65536];
+      const ssize_t got = ::read(slots[j].fd, chunk, sizeof(chunk));
+      if (got > 0)
+        receive(j, std::string_view(chunk, static_cast<std::size_t>(got)));
+      else if (got == 0 || errno != EINTR)
+        reap(j);
     }
   }
+  return runs;
 }
 
-}  // namespace
+#else  // !PG_HAS_FORK
+
+std::vector<ChildRun> run_children(
+    const std::vector<std::vector<std::size_t>>& cells, int, double,
+    const ChildBody&, const ChildEvents&) {
+  return std::vector<ChildRun>(cells.size());  // attempts == 0: no fork
+}
+
+#endif  // PG_HAS_FORK
 
 int run_spawned_sweep(const SweepSpec& spec, const SpawnOptions& opts,
                       const std::optional<std::string>& csv_path,
                       const std::optional<std::string>& json_path,
                       std::ostream& out, std::ostream& err) {
+  const auto started = std::chrono::steady_clock::now();
   validate_spec(spec);
   PG_REQUIRE(spec.shard_count == 1 && spec.shard_groups.empty(),
              "--spawn orchestrates its own shards; drop --shard/"
              "--shard-groups");
   const std::size_t groups = count_topology_groups(spec);
-  PG_REQUIRE(groups >= 1, "spawn needs a non-empty grid");
   const int children = static_cast<int>(
       std::min<std::size_t>(static_cast<std::size_t>(
                                 std::max(opts.children, 1)),
@@ -314,124 +330,82 @@ int run_spawned_sweep(const SweepSpec& spec, const SpawnOptions& opts,
 
   const SpawnPlan plan = plan_spawn(spec, children, opts.exec.budget_ms);
 
-  // Shard reports live next to the journals when a journal directory
-  // exists (debuggable artifacts), in a private temp directory otherwise.
-  std::filesystem::path report_dir;
-  std::error_code ec;
-  if (!opts.exec.journal_dir.empty()) {
-    report_dir = opts.exec.journal_dir;
-    std::filesystem::create_directories(report_dir, ec);
-    PG_REQUIRE(!ec, "cannot create journal directory '" +
-                        report_dir.string() + "': " + ec.message());
-  } else {
-    char tmpl[] = "/tmp/pg-spawn-XXXXXX";
-    const char* made = ::mkdtemp(tmpl);
-    PG_REQUIRE(made != nullptr, "cannot create spawn scratch directory");
-    report_dir = made;
+  // Child i runs shard i of `children` over its cost-balanced groups.
+  std::vector<SweepSpec> shards(static_cast<std::size_t>(children), spec);
+  std::vector<std::vector<std::size_t>> cells(shards.size());
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    shards[i].shard_index = static_cast<int>(i) + 1;
+    shards[i].shard_count = children;
+    shards[i].shard_groups = plan.shards[i];
+    cells[i] = shard_cell_indices(shards[i]);
   }
 
-  std::vector<Child> shards(static_cast<std::size_t>(children));
-  auto csv_file = [&](int index) {
-    return (report_dir / (shard_file_stem(index, children) + ".csv"))
-        .string();
+  auto tag = [&](std::size_t i) -> std::ostream& {
+    return err << '[' << i + 1 << '/' << children << "] ";
   };
-  auto json_file = [&](int index) {
-    return (report_dir / (shard_file_stem(index, children) + ".json"))
-        .string();
-  };
-
-  auto spawn_one = [&](Child& child, bool resume) -> bool {
-    int fds[2];
-    if (::pipe(fds) != 0) return false;
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(fds[0]);
-      ::close(fds[1]);
-      return false;
-    }
-    if (pid == 0) {
-      ::close(fds[0]);
-      // Drop read ends inherited from siblings so their EOFs stay crisp.
-      for (const Child& other : shards)
-        if (other.fd >= 0) ::close(other.fd);
-      SweepSpec child_spec = spec;
-      child_spec.shard_index = child.index;
-      child_spec.shard_count = children;
-      child_spec.shard_groups =
-          plan.shards[static_cast<std::size_t>(child.index - 1)];
-      ExecOptions child_exec = opts.exec;
-      if (resume && !child_exec.journal_dir.empty())
-        child_exec.resume = true;
-      run_child(child_spec, child_exec, opts.timing, opts.classify,
-                csv_file(child.index), json_file(child.index), fds[1]);
-    }
-    ::close(fds[1]);
-    child.pid = pid;
-    child.fd = fds[0];
-    child.buffer.clear();
-    child.summarized = false;
-    ++child.attempts;
-    if (opts.progress)
-      err << "[" << child.index << "/" << children << "] pid " << pid
-          << ", " << plan.shards[static_cast<std::size_t>(child.index - 1)]
-                         .size()
-          << " group(s), predicted cost "
-          << static_cast<long long>(
-                 plan.costs[static_cast<std::size_t>(child.index - 1)])
-          << (resume ? ", resuming" : "") << "\n";
-    return true;
-  };
-
-  for (int i = 0; i < children; ++i) shards[static_cast<std::size_t>(i)]
-      .index = i + 1;
-
-  // Lockstep attempt rounds: launch every not-yet-complete child, stream
-  // until the round drains, retry the casualties (resuming from their
-  // journals when there are any), give up after opts.retries extra
-  // rounds.
-  for (int round = 0; round <= std::max(opts.retries, 0); ++round) {
-    std::vector<Child*> running;
-    for (Child& child : shards) {
-      if (child.complete) continue;
-      if (spawn_one(child, /*resume=*/round > 0 || opts.exec.resume))
-        running.push_back(&child);
-      else
-        child.last_error = "fork failed";
-    }
-    if (running.empty()) break;
-    stream_and_reap(running, opts.progress, children, err);
-    bool all_complete = true;
-    for (const Child& child : shards) all_complete &= child.complete;
-    if (all_complete) break;
-    if (round < std::max(opts.retries, 0) && opts.progress)
-      for (const Child& child : shards)
-        if (!child.complete)
-          err << "[" << child.index << "/" << children << "] retrying ("
-              << child.last_error << ")\n";
+  const bool journaled = !opts.exec.journal_dir.empty();
+  ChildEvents events;
+  if (opts.progress) {
+    events.launched = [&](std::size_t i, int attempt, long pid) {
+      tag(i) << "pid " << pid << ", " << plan.shards[i].size()
+             << " group(s), predicted cost "
+             << static_cast<long long>(plan.costs[i])
+             << (journaled && (attempt > 0 || opts.exec.resume)
+                     ? ", resuming"
+                     : "")
+             << "\n";
+    };
+    // At most ~50 ticks per child, however many cells it streams.
+    events.streamed = [&](std::size_t i, const ChildRun& run) {
+      const std::size_t done = run.rows.size(), mine = cells[i].size();
+      if (done * 50 / mine == (done - 1) * 50 / mine) return;
+      tag(i) << "cells " << done << "/" << mine << "\n";
+    };
+    events.settled = [&](std::size_t i, const ChildRun& run, bool retrying) {
+      if (run.clean) {
+        char rss[32];
+        std::snprintf(rss, sizeof(rss), "%.1f", run.peak_rss_mb);
+        tag(i) << "done: " << run.rows.size() << " cells";
+        if (run.replayed > 0) err << " (" << run.replayed << " replayed)";
+        err << ", peak rss " << rss << " MB\n";
+      } else if (retrying) {
+        tag(i) << "retrying (" << run.exit_text << ")\n";
+      }
+    };
   }
 
-  // ------------------------------------------------------------ merge ---
-  std::vector<std::string> csv_reports, json_reports;
+  // A retry resumes from the child's journal when there is one (resume
+  // is inert without a journal directory).
+  std::vector<ChildRun> runs = run_children(
+      cells, opts.retries, opts.exec.retry_backoff_ms,
+      [&](std::size_t i, const RowSink& emit) {
+        ExecOptions exec = opts.exec;
+        exec.resume = opts.exec.resume || child_attempt() > 0;
+        return run_sweep_stream(shards[i], emit, exec).replayed;
+      },
+      events);
+
+  // Every grid cell gets its row: the children's, or a placeholder for
+  // the cells of a child that stayed dead.
+  std::vector<CellResult> rows(count_grid_cells(spec));
+  SweepSummary total;
+  double peak_rss = 0.0;
   std::size_t dead = 0;
-  for (const Child& child : shards) {
-    if (!child.complete) {
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    ChildRun& run = runs[i];
+    peak_rss = std::max(peak_rss, run.peak_rss_mb);
+    if (!run.clean) {
       ++dead;
-      err << "spawn: shard " << child.index << "/" << children
-          << " did not complete"
-          << (child.last_error.empty() ? "" : " (" + child.last_error + ")")
-          << "\n";
+      err << "spawn: shard " << i + 1 << "/" << children
+          << " did not complete (" << run.exit_text << ")\n";
+      for (std::size_t t : cells[i]) rows[t] = missing_cell(t);
       continue;
     }
-    auto slurp = [](const std::string& path) {
-      std::ifstream file(path, std::ios::binary);
-      std::ostringstream text;
-      text << file.rdbuf();
-      PG_REQUIRE(file.good() || file.eof(),
-                 "cannot read shard report '" + path + "'");
-      return text.str();
-    };
-    csv_reports.push_back(slurp(csv_file(child.index)));
-    json_reports.push_back(slurp(json_file(child.index)));
+    total.replayed += run.replayed;
+    for (CellResult& row : run.rows) {
+      total.tally(row);
+      rows[row.cell_index] = std::move(row);
+    }
   }
   if (dead > 0 && !opts.allow_partial) {
     err << "spawn: " << dead << " shard(s) incomplete after "
@@ -440,87 +414,30 @@ int run_spawned_sweep(const SweepSpec& spec, const SpawnOptions& opts,
            "merge with status=missing rows\n";
     return 1;
   }
-  if (csv_reports.empty()) {
-    // --allow-partial with every shard dead: there is no stamp to build
-    // even a placeholder-only report around.
-    err << "spawn: no shard completed; nothing to merge\n";
-    return 1;
-  }
 
-  const bool want_csv = csv_path.has_value() || !json_path.has_value();
-  auto write_target = [&](const std::string& path,
-                          const std::string& bytes) {
-    if (path == "-") {
-      out << bytes;
-      return;
-    }
-    std::ofstream file(path, std::ios::binary);
-    PG_REQUIRE(static_cast<bool>(file),
-               "cannot open output file '" + path + "'");
-    file << bytes;
-  };
-  // A single child writes an unstamped (single-process-shaped) report —
-  // exactly the final artifact, nothing to merge.  k >= 2 children write
-  // shard-stamped reports that merge back byte-identically.
-  if (want_csv)
-    write_target(csv_path.value_or("-"),
-                 children == 1 ? csv_reports.front()
-                               : merge_csv(csv_reports, opts.allow_partial));
-  if (json_path)
-    write_target(*json_path,
-                 children == 1
-                     ? json_reports.front()
-                     : merge_json(json_reports, opts.allow_partial));
+  // The report is rendered once, here, exactly as the single-process
+  // sweep writes it.
+  ReportTargets reports(csv_path, json_path, out, spec, rows.size(),
+                        opts.exec, opts.timing, opts.classify);
+  for (const CellResult& row : rows) reports.row(row);
+  reports.end(peak_rss);
 
-  // Scratch reports are orchestrator-internal; journal-dir reports stay.
-  if (opts.exec.journal_dir.empty())
-    std::filesystem::remove_all(report_dir, ec);
-
-  SweepSummary total;
-  double max_rss = 0.0;
-  for (const Child& child : shards) {
-    if (!child.summarized) continue;
-    total.cells += child.summary.cells;
-    total.ok += child.summary.ok;
-    total.infeasible += child.summary.infeasible;
-    total.failed += child.summary.failed;
-    total.timeout += child.summary.timeout;
-    total.unverified += child.summary.unverified;
-    total.replayed += child.summary.replayed;
-    total.wall_ms_total =
-        std::max(total.wall_ms_total, child.summary.wall_ms_total);
-    max_rss = std::max(max_rss, child.rss_mb);
-  }
-  const std::size_t grid = count_grid_cells(spec);
-  const std::size_t missing = grid - std::min(grid, total.cells);
+  const std::size_t missing = rows.size() - total.cells;
   char wall[32], rss[32];
-  std::snprintf(wall, sizeof(wall), "%.0f", total.wall_ms_total);
-  std::snprintf(rss, sizeof(rss), "%.1f", max_rss);
+  std::snprintf(wall, sizeof(wall), "%.0f",
+                std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - started)
+                    .count());
+  std::snprintf(rss, sizeof(rss), "%.1f", peak_rss);
   err << "spawn: " << children << " children, " << total.cells << " of "
-      << grid << " cells, " << total.ok << " ok, " << total.infeasible
+      << rows.size() << " cells, " << total.ok << " ok, " << total.infeasible
       << " infeasible, " << total.failed << " failed, " << total.timeout
       << " timeout";
   if (total.unverified > 0) err << ", " << total.unverified << " unverified";
   if (total.replayed > 0) err << ", " << total.replayed << " replayed";
   if (missing > 0) err << ", " << missing << " missing";
   err << ", " << wall << " ms, peak child rss " << rss << " MB\n";
-  return total.failed == 0 && total.timeout == 0 &&
-                 total.infeasible == 0 && total.unverified == 0 &&
-                 missing == 0
-             ? 0
-             : 1;
+  return total.ok == rows.size() ? 0 : 1;
 }
-
-#else  // !PG_HAS_SPAWN
-
-int run_spawned_sweep(const SweepSpec&, const SpawnOptions&,
-                      const std::optional<std::string>&,
-                      const std::optional<std::string>&, std::ostream&,
-                      std::ostream& err) {
-  err << "spawn: multi-process sweeps need a POSIX platform\n";
-  return 1;
-}
-
-#endif
 
 }  // namespace pg::scenario

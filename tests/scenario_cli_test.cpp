@@ -7,12 +7,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <initializer_list>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "scenario/cli.hpp"
+#include "scenario/spawn.hpp"
 
 namespace pg::scenario {
 namespace {
@@ -367,6 +369,35 @@ TEST(Cli, SweepCsvAndJsonToSharedStdoutEmitSequentially) {
   EXPECT_EQ(r.out.find("\"cells\": [0,"), std::string::npos);
   EXPECT_EQ(r.out.substr(json_at).find(",path,gr-mvc,10,2,"),
             std::string::npos);
+}
+
+TEST(Cli, CsvAndJsonNamingOneNewFileLeaveTheJsonAlone) {
+  // Two spellings of one not-yet-existing relative file are one target:
+  // the file must end up holding the JSON document alone — in-process and
+  // under --spawn — never the CSV and JSON interleaved through two
+  // independent handles.
+  const std::string name = "pg_cli_shared_target.out";
+  const std::vector<std::string> base = {
+      "sweep", "--scenarios", "path", "--algorithms", "matching",
+      "--sizes", "8", "--seeds", "1,2"};
+  std::vector<std::string> json_only = base;
+  json_only.insert(json_only.end(), {"--json", "-"});
+  const CliRun reference = cli(json_only);
+  ASSERT_EQ(reference.exit_code, 0) << reference.err;
+  for (const bool spawn : {false, true}) {
+    if (spawn && !spawn_supported()) continue;
+    std::filesystem::remove(name);
+    std::vector<std::string> args = base;
+    args.insert(args.end(), {"--csv", name, "--json", "./" + name});
+    if (spawn) args.insert(args.end(), {"--spawn", "2"});
+    const CliRun r = cli(args);
+    EXPECT_EQ(r.exit_code, 0) << r.err;
+    std::ifstream in(name, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    EXPECT_EQ(bytes.str(), reference.out) << "spawn=" << spawn;
+  }
+  std::filesystem::remove(name);
 }
 
 TEST(Cli, SweepJsonToStdout) {

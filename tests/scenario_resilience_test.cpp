@@ -212,6 +212,31 @@ TEST(JournalRecord, RejectsCorruption) {
   EXPECT_FALSE(decode_cell_record("C\tgarbage", row));
 }
 
+TEST(JournalRecord, TrailerRoundTripsAndRejectsCorruption) {
+  // A forked child's final line: the replayed count and an error text
+  // that may hold any byte, framed and checksummed like a cell record.
+  const std::string error = "bad\tjournal\nline\\x";
+  const std::string line = encode_trailer_record(7, error);
+  EXPECT_EQ(line.find('\n'), std::string::npos);
+  std::size_t replayed = 0;
+  std::string text;
+  ASSERT_TRUE(decode_trailer_record(line, replayed, text));
+  EXPECT_EQ(replayed, 7u);
+  EXPECT_EQ(text, error);
+  ASSERT_TRUE(decode_trailer_record(encode_trailer_record(0, ""), replayed,
+                                    text));
+  EXPECT_EQ(replayed, 0u);
+  EXPECT_EQ(text, "");
+  std::string corrupt = line;
+  corrupt[2] = corrupt[2] == '8' ? '9' : '8';
+  EXPECT_FALSE(decode_trailer_record(corrupt, replayed, text));
+  // Rows and trailers never pass for one another.
+  CellResult row;
+  EXPECT_FALSE(decode_cell_record(line, row));
+  EXPECT_FALSE(
+      decode_trailer_record(encode_cell_record(sample_row()), replayed, text));
+}
+
 TEST(Journal, ReaderStopsAtCorruptRecordAndRefusesForeignSweeps) {
   const TempDir dir;
   const SweepSpec spec = base_spec();
@@ -634,6 +659,20 @@ TEST(Isolation, CrashCostsOneGroupAndRetryRecoversTransientCrashes) {
     EXPECT_EQ(run.csv, sweep_csv(spec).csv)
         << "a recovered sweep must match the undisturbed bytes";
   }
+}
+
+TEST(Isolation, CrashRowsMatchAcrossThreadCounts) {
+  // At threads > 1 the isolate forks come from worker threads, several at
+  // once; the rows — the crashed group's failed row included — must still
+  // be byte-identical to the single-worker sweep's.
+  const FaultPlan plan = FaultPlan::parse("abort@5");
+  ExecOptions opts;
+  opts.isolate = true;
+  opts.fault_plan = &plan;
+  const SweepRun serial = sweep_csv(base_spec(1), opts);
+  const SweepRun threaded = sweep_csv(base_spec(3), opts);
+  EXPECT_EQ(serial.summary.failed, 1u);
+  EXPECT_EQ(threaded.csv, serial.csv);
 }
 #endif  // PG_TEST_HAS_FORK
 

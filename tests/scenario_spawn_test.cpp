@@ -260,6 +260,119 @@ TEST(Spawn, RetryRoundRelaunchesTheCasualty) {
   EXPECT_NE(err.str().find("2 attempt(s)"), std::string::npos);
 }
 
+TEST(Spawn, TransientCrashRecoversOnRetry) {
+  // abort@1:1 kills the child owning cell 1 on attempt 0 only: the retry
+  // must run as attempt 1, so the fault stays quiet and the sweep matches
+  // the undisturbed bytes.  Without a journal nothing resumes, and the
+  // respawn line must not claim otherwise.
+  const SweepSpec spec = four_group_spec();
+  const FaultPlan plan = FaultPlan::parse("abort@1:1");
+  SpawnOptions opts;
+  opts.children = 2;
+  opts.retries = 1;
+  opts.progress = true;
+  opts.exec.retry_backoff_ms = 1.0;
+  opts.exec.fault_plan = &plan;
+  TempDir dir;
+  std::ostringstream out, err;
+  EXPECT_EQ(run_spawned_sweep(spec, opts, dir.file("merged.csv"),
+                              std::nullopt, out, err),
+            0)
+      << err.str();
+  EXPECT_EQ(slurp(dir.file("merged.csv")), run_single(spec));
+  EXPECT_NE(err.str().find("retrying"), std::string::npos) << err.str();
+  EXPECT_EQ(err.str().find("resuming"), std::string::npos) << err.str();
+}
+
+TEST(Spawn, ChildErrorTextReachesTheParent) {
+  // A child that fails before streaming (here: --resume over journals
+  // another sweep wrote) reports why in its trailer; the parent names
+  // that text, not just an exit status, and writes no report.
+  TempDir dir;
+  SweepSpec other = four_group_spec();
+  other.seeds = {5, 6, 7, 8};
+  SpawnOptions writing;
+  writing.children = 2;
+  writing.exec.journal_dir = dir.str();
+  std::ostringstream out1, err1;
+  ASSERT_EQ(run_spawned_sweep(other, writing, std::nullopt, std::nullopt,
+                              out1, err1),
+            0)
+      << err1.str();
+
+  SpawnOptions resuming = writing;
+  resuming.exec.resume = true;
+  std::ostringstream out2, err2;
+  EXPECT_EQ(run_spawned_sweep(four_group_spec(), resuming,
+                              dir.file("merged.csv"), std::nullopt, out2,
+                              err2),
+            1);
+  EXPECT_NE(err2.str().find("belongs to a different sweep"),
+            std::string::npos)
+      << err2.str();
+  EXPECT_FALSE(std::filesystem::exists(dir.file("merged.csv")));
+}
+
+TEST(Spawn, TimingJsonCarriesPeakRssAtEveryChildCount) {
+  // The parent writes the largest child's peak RSS into the JSON meta
+  // block, whether one child or several produced the rows.
+  const SweepSpec spec = four_group_spec();
+  for (int children : {1, 2}) {
+    SpawnOptions opts;
+    opts.children = children;
+    opts.timing = true;
+    std::ostringstream out, err;
+    ASSERT_EQ(run_spawned_sweep(spec, opts, std::nullopt, std::string("-"),
+                                out, err),
+              0)
+        << err.str();
+    EXPECT_NE(out.str().find("\"meta\": {\"peak_rss_mb\": "),
+              std::string::npos)
+        << "children=" << children;
+  }
+}
+
+TEST(Spawn, IsolatedGroupsInsideChildrenMatchIsolateAlone) {
+  // Nested engines: --spawn 2 --isolate forks each shard's groups again.
+  // abort@5 kills one group's child on every attempt; the shard survives
+  // it, so the bytes (one failed row, the intact prefix kept) must equal
+  // an in-process --isolate sweep's.
+  SweepSpec spec;
+  spec.scenarios = {"ba", "geo-torus"};
+  spec.algorithms = {"mvc", "gr-mvc"};
+  spec.sizes = {16, 20};
+  spec.seeds = {1, 2};
+  const FaultPlan plan = FaultPlan::parse("abort@5");
+  ExecOptions isolate;
+  isolate.isolate = true;
+  isolate.fault_plan = &plan;
+  std::ostringstream reference;
+  CsvWriter writer(reference);
+  writer.begin(spec, count_grid_cells(spec));
+  run_sweep_stream(
+      spec, [&](const CellResult& row) { writer.row(row); }, isolate);
+
+  SpawnOptions opts;
+  opts.children = 2;
+  opts.exec = isolate;
+  TempDir dir;
+  std::ostringstream out, err;
+  EXPECT_EQ(run_spawned_sweep(spec, opts, dir.file("merged.csv"),
+                              std::nullopt, out, err),
+            1);  // the failed row still fails the sweep
+  EXPECT_EQ(err.str().find("did not complete"), std::string::npos)
+      << err.str();
+  const std::string merged = slurp(dir.file("merged.csv"));
+  EXPECT_EQ(merged, reference.str());
+  std::size_t failed = 0;
+  for (std::size_t at = merged.find(",failed,"); at != std::string::npos;
+       at = merged.find(",failed,", at + 1))
+    ++failed;
+  EXPECT_EQ(failed, 1u);
+  EXPECT_NE(merged.find("worker process killed by signal"),
+            std::string::npos);
+}
+
 #endif  // PG_TEST_HAS_FORK
 
 }  // namespace
