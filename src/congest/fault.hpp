@@ -104,6 +104,9 @@ struct FaultModel {
 /// the same channel as rounds/messages into RunOutcome and the reports.
 struct FaultStats {
   std::int64_t messages_dropped = 0;
+  /// Every corrupted delivery, counted once — also those the network then
+  /// discards because the flipped bit took them out of their kind's
+  /// declared domain (Network::declare); a discard is not a drop.
   std::int64_t messages_corrupted = 0;
   std::int64_t nodes_crashed = 0;
   /// Rounds completed while the fault model was active.

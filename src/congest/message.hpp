@@ -50,6 +50,30 @@ struct Message {
   }
 };
 
+/// Inclusive value range of one message field.
+struct FieldRange {
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+};
+
+/// What a well-formed message of one kind looks like: its arity and the
+/// inclusive range of each field.  A default-constructed domain is
+/// undeclared and admits every message (see Network::declare).
+struct MessageDomain {
+  static constexpr std::uint8_t kUndeclared = 0xff;
+  std::uint8_t arity = kUndeclared;
+  std::array<FieldRange, 4> fields{};
+
+  bool admits(const Message& m) const {
+    if (arity == kUndeclared) return true;
+    if (m.num_fields != arity) return false;
+    for (std::size_t i = 0; i < arity; ++i)
+      if (m.fields[i] < fields[i].lo || m.fields[i] > fields[i].hi)
+        return false;
+    return true;
+  }
+};
+
 /// Bandwidth available per edge per round in an n-node network:
 /// B(n) = 16·⌈log₂ n⌉ bits (the constant instantiates the model's O(log n)).
 int bandwidth_bits(std::size_t n);

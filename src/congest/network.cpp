@@ -271,6 +271,7 @@ void Network::rebuild() {
   last_round_messages_ = 0;
   round_staged_.clear();
   round_bcasters_.clear();
+  domains_.fill(MessageDomain{});
 
   // A rebind is a new cell: any installed adversary dies with the old
   // topology (the sweep runner re-installs per cell).
@@ -294,8 +295,20 @@ void Network::init_unicast_buffers() {
   unicast_ready_.store(true, std::memory_order_release);
 }
 
-void Network::round(const std::function<void(NodeView&)>& step) {
-  round<const std::function<void(NodeView&)>&>(step);
+void Network::declare(std::uint8_t kind,
+                      std::initializer_list<FieldRange> fields) {
+  PG_REQUIRE(fields.size() <= 4, "too many message fields");
+  MessageDomain& domain = domains_[kind];
+  domain.arity = static_cast<std::uint8_t>(fields.size());
+  std::copy(fields.begin(), fields.end(), domain.fields.begin());
+}
+
+bool Network::corrupt_admitted(PackedMessage& m,
+                               std::uint64_t entropy) const {
+  m.corrupt(entropy);
+  Message decoded;
+  m.unpack_generic(decoded, wide_inbox_.data());
+  return domains_[decoded.kind].admits(decoded);
 }
 
 void Network::run_step_phase(const std::function<void(int)>& body) {
@@ -390,17 +403,22 @@ void Network::deliver() {
   };
   // Appends one delivery to receiver-side slot e's inbox (anchored at
   // `begin`, currently holding k entries) unless the adversary drops it.
+  // A corrupted message that left its kind's declared domain is counted,
+  // then discarded (the slot is reused by the next delivery).
   auto put = [&](std::uint32_t e, std::uint32_t begin, std::uint32_t& k,
                  const PackedMessage& m, detail::FaultTally& ft) {
     if (faults_on && dropped(e, ft)) return;
-    detail::PackedIncoming& in = arena[begin + k++];
+    detail::PackedIncoming& in = arena[begin + k];
     in.reply_slot = e - begin;
     in.msg = m;
     if (faults_on &&
         fault_fires(corrupt_thr, fault_seed, kFaultTagCorrupt, now, e)) {
-      in.msg.corrupt(fault_hash(fault_seed, kFaultTagCorruptBit, now, e));
       ++ft.corrupted;
+      if (!corrupt_admitted(
+              in.msg, fault_hash(fault_seed, kFaultTagCorruptBit, now, e)))
+        return;
     }
+    ++k;
   };
   // A worker's unicast cursor: the first staged unicast at or past its
   // range's first slot.  Every sweep below visits its slots in ascending
@@ -548,6 +566,7 @@ void Network::reset() {
   std::fill(inbox_count_.begin(), inbox_count_.end(), 0);
   wide_send_.clear();
   wide_inbox_.clear();
+  domains_.fill(MessageDomain{});
   // The fault model itself survives reset() (entry points reset the
   // network they are handed; the adversary must not die with it), but the
   // per-run crash flags, schedule cursor, and round budget start over.

@@ -7,7 +7,25 @@
 // simulator then delivers all sent messages for the next round.  The
 // simulator enforces, per round:
 //   * at most one message per (node, incident edge, direction);
-//   * each message's logical size <= B(n) bits.
+//   * each message's logical size <= B(n) bits;
+//   * each message of a declared kind lies in its declared domain.
+//
+// Message domains.  The paper's algorithms send O(log n)-bit ids, flags,
+// draws and weights, each from a range the sender knows.  After its
+// `reset()`, an entry point calls `declare(kind, {{lo, hi}, ...})` for each
+// kind it sends: the arity plus an inclusive range per field (primitives
+// declare their own kinds when called).  Declarations last until the next
+// reset()/reset(topology) and are made between rounds, on the driver
+// thread.  A send of a declared kind that leaves its domain is a contract
+// violation, checked next to the bandwidth check (O(1) per broadcast).
+// Under an active fault model, a message the adversary corrupts out of
+// its kind's domain — a field out of range, or a flipped kind bit landing
+// on a declared kind of another arity — is discarded at delivery (it
+// still counts once in FaultStats::messages_corrupted).  So every
+// delivered message of a declared kind satisfies its declaration, and
+// receivers read its fields without guards or clamps.  Undeclared kinds
+// are neither checked nor discarded.  Fault-free traffic never reaches
+// the delivery-side check.
 //
 // Internals are flat and CSR-indexed.  Every directed edge (u, i-th
 // neighbor of u) owns the adjacency slot `offsets[u] + i`; a precomputed
@@ -251,9 +269,18 @@ class Network {
   /// True iff an enabled fault model is installed.  Algorithms may consult
   /// this to relax *self*-checks whose failure under an adversary is the
   /// expected outcome (the sweep's --certify pass re-checks independently);
-  /// they must never branch on it in fault-free runs' message logic.
+  /// they must never branch on it in fault-free runs' message logic.  Field
+  /// formats are not among those self-checks: the declared domains already
+  /// keep corrupted payloads out of range (see `declare`).
   bool faults_active() const { return faults_enabled_; }
   const FaultModel& fault_model() const { return fault_model_; }
+
+  /// Declares the domain of message kind `kind`: `fields.size()` fields,
+  /// the i-th within the inclusive `fields[i]`.  Sends of the kind are
+  /// checked against it and corrupted deliveries outside it are discarded
+  /// (header comment).  Re-declaring a kind replaces its domain; reset()
+  /// forgets every declaration.  Call between rounds only.
+  void declare(std::uint8_t kind, std::initializer_list<FieldRange> fields);
 
   /// Caps the round counter: the next `round()` call at or past the limit
   /// throws instead of executing — divergence detection for quiescence
@@ -310,11 +337,6 @@ class Network {
     merge_and_deliver();
   }
 
-  /// Type-erased overload for ABI-stable callers (function pointers handed
-  /// across translation units); algorithm code should pass lambdas to the
-  /// templated overload instead.
-  void round(const std::function<void(NodeView&)>& step);
-
   /// True iff the previous round sent at least one message.
   bool last_round_sent_messages() const { return last_round_messages_ > 0; }
 
@@ -341,6 +363,17 @@ class Network {
  private:
   friend class NodeView;
 
+  /// The send-side message contract shared by unicast and broadcast:
+  /// bandwidth plus the kind's declared domain.  Returns the logical size.
+  int checked_bits(const Message& m) const {
+    const int bits = m.logical_bits();
+    PG_REQUIRE(bits <= bandwidth_,
+               "CONGEST: message exceeds O(log n) bandwidth");
+    PG_REQUIRE(domains_[m.kind].admits(m),
+               "CONGEST: message outside its kind's declared domain");
+    return bits;
+  }
+
   /// One store into the receiver-side slot of directed edge
   /// `first_slot_[from] + local_slot`; the round stamp enforces the
   /// one-message-per-edge rule (against other unicasts via the slot stamp,
@@ -357,9 +390,7 @@ class Network {
     const std::int32_t now = static_cast<std::int32_t>(stats_.rounds);
     PG_REQUIRE(slot_round_[dst] != now && bcast_round_[v] != now,
                "CONGEST: one message per edge per direction per round");
-    const int bits = m.logical_bits();
-    PG_REQUIRE(bits <= bandwidth_,
-               "CONGEST: message exceeds O(log n) bandwidth");
+    const int bits = checked_bits(m);
     slot_round_[dst] = now;
     unicast_round_[v] = now;
     tally.staged.push_back({dst, encode_message(m)});
@@ -374,9 +405,7 @@ class Network {
   /// race-free too).
   void do_broadcast(NodeId from, const Message& m,
                     detail::SendTally& tally) {
-    const int bits = m.logical_bits();
-    PG_REQUIRE(bits <= bandwidth_,
-               "CONGEST: message exceeds O(log n) bandwidth");
+    const int bits = checked_bits(m);
     const auto v = static_cast<std::size_t>(from);
     const std::int32_t now = static_cast<std::int32_t>(stats_.rounds);
     PG_REQUIRE(bcast_round_[v] != now,
@@ -466,6 +495,13 @@ class Network {
     }
     return {scratch.items.data(), scratch.count};
   }
+
+  /// Flips the adversary's bit in a delivered message; false iff the result
+  /// left its kind's declared domain (delivery then discards it).  Out of
+  /// line and cold: only corrupted deliveries come here, and the delivery
+  /// sweeps' per-message step must stay small enough to inline.
+  [[gnu::cold, gnu::noinline]] bool corrupt_admitted(
+      PackedMessage& m, std::uint64_t entropy) const;
 
   /// Round prologue when a fault model or round limit is armed: enforces
   /// the round budget, then applies scheduled and hazard-rate crash-stops
@@ -570,6 +606,10 @@ class Network {
   std::size_t crash_cursor_ = 0;
   std::int64_t round_limit_ = -1;
   std::vector<detail::FaultTally> fault_tallies_;
+
+  // Declared message domains, indexed by kind (see `declare`).  Written
+  // between rounds only; read by the step and delivery phases.
+  std::array<MessageDomain, 256> domains_{};
 };
 
 inline std::size_t NodeView::n() const { return net_->n(); }

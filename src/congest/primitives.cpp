@@ -13,6 +13,15 @@ constexpr std::uint8_t kBfsJoin = 202;   // field 0: depth of sender
 constexpr std::uint8_t kBfsAdopt = 203;  // child -> parent
 constexpr std::uint8_t kToken = 204;     // field 0: token payload
 
+// Declares kToken's domain as [0, max_token]; the caller's bound must fit
+// the bandwidth.  Each token is then checked against it where it is sent.
+void declare_tokens(Network& net, std::uint64_t max_token) {
+  const auto hi = static_cast<std::int64_t>(max_token);
+  PG_REQUIRE(hi >= 0 && Message::significant_bits(hi) <= net.bandwidth() - 8,
+             "token too wide for CONGEST bandwidth");
+  net.declare(kToken, {{0, hi}});
+}
+
 // Adjacency slot of `target` within `v`'s neighbor list.  Resolved once per
 // tree edge so the pipelined per-round sends below are O(1) slot sends.
 std::size_t slot_of(graph::GraphView g, NodeId v, NodeId target) {
@@ -29,6 +38,7 @@ NodeId elect_min_id_leader(Network& net) {
   for (std::size_t v = 0; v < n; ++v) best[v] = static_cast<NodeId>(v);
   // Sentinel forcing everyone to broadcast in the first round.
   std::vector<NodeId> last_broadcast(n, std::numeric_limits<NodeId>::max());
+  net.declare(kMinId, {{0, static_cast<std::int64_t>(n) - 1}});
 
   // Flood the minimum: whenever a node's known minimum improves on what it
   // last announced, it re-broadcasts.  Stabilizes after diameter+1 rounds;
@@ -37,11 +47,7 @@ NodeId elect_min_id_leader(Network& net) {
     net.round([&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
       for (const Incoming& in : node.inbox())
-        // The field-count guard makes adversarial traffic (a corrupted
-        // field-less message whose kind now collides with kMinId) a no-op
-        // instead of an out-of-range field read; fault-free messages
-        // always carry their declared fields.
-        if (in.msg.kind == kMinId && in.msg.num_fields >= 1)
+        if (in.msg.kind == kMinId)
           best[me] = std::min(best[me], static_cast<NodeId>(in.msg.at(0)));
       if (best[me] != last_broadcast[me]) {
         node.broadcast(Message{kMinId, {best[me]}});
@@ -72,6 +78,13 @@ BfsTree build_bfs_tree(Network& net, NodeId root) {
   // shared word.
   std::vector<char> announce(n, 0);
   announce[static_cast<std::size_t>(root)] = 1;
+  net.declare(kBfsJoin, {{0, static_cast<std::int64_t>(n) - 1}});
+  net.declare(kBfsAdopt, {});
+  // A node's depth is the flood layer it joins in: joins happen on odd
+  // rounds, layer (round + 1) / 2.  Fault-free this equals the announced
+  // depth plus one; deriving it from the round keeps a corrupted
+  // announcement from pushing the next announcement out of its domain.
+  int round = 0;
   do {
     net.round([&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
@@ -82,12 +95,12 @@ BfsTree build_bfs_tree(Network& net, NodeId root) {
       if (tree.depth[me] == -1) {
         const Incoming* best = nullptr;
         for (const Incoming& in : node.inbox()) {
-          if (in.msg.kind != kBfsJoin || in.msg.num_fields < 1) continue;
+          if (in.msg.kind != kBfsJoin) continue;
           if (best == nullptr || in.from < best->from) best = &in;
         }
         if (best != nullptr) {
           tree.parent[me] = best->from;
-          tree.depth[me] = static_cast<int>(best->msg.at(0)) + 1;
+          tree.depth[me] = (round + 1) / 2;
           node.reply(*best, Message{kBfsAdopt, {}});
           announce[me] = 1;
           return;  // announce own depth next round
@@ -98,6 +111,7 @@ BfsTree build_bfs_tree(Network& net, NodeId root) {
         announce[me] = 0;
       }
     });
+    ++round;
   } while (net.last_round_sent_messages());
 
   for (std::size_t v = 0; v < n; ++v) {
@@ -109,17 +123,14 @@ BfsTree build_bfs_tree(Network& net, NodeId root) {
 
 std::vector<std::uint64_t> upcast_tokens(
     Network& net, const BfsTree& tree,
-    std::vector<std::vector<std::uint64_t>> tokens_per_node) {
+    std::vector<std::vector<std::uint64_t>> tokens_per_node,
+    std::uint64_t max_token) {
   const std::size_t n = net.n();
   PG_REQUIRE(tokens_per_node.size() == n, "token list size mismatch");
-  const auto max_token_bits = net.bandwidth() - 8;
   std::vector<std::deque<std::uint64_t>> queue(n);
   std::size_t pending = 0;  // tokens not yet received by the root
+  declare_tokens(net, max_token);
   for (std::size_t v = 0; v < n; ++v) {
-    for (std::uint64_t token : tokens_per_node[v])
-      PG_REQUIRE(Message::significant_bits(static_cast<std::int64_t>(token)) <=
-                     max_token_bits,
-                 "token too wide for CONGEST bandwidth");
     PG_REQUIRE(tokens_per_node[v].empty() ||
                    v == static_cast<std::size_t>(tree.root) ||
                    tree.parent[v] != -1,
@@ -144,7 +155,7 @@ std::vector<std::uint64_t> upcast_tokens(
     net.round([&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
       for (const Incoming& in : node.inbox()) {
-        if (in.msg.kind != kToken || in.msg.num_fields < 1) continue;
+        if (in.msg.kind != kToken) continue;
         const auto token = static_cast<std::uint64_t>(in.msg.at(0));
         if (node.id() == tree.root) {
           collected.push_back(token);
@@ -175,13 +186,9 @@ std::vector<std::uint64_t> upcast_tokens(
 
 std::vector<std::vector<std::uint64_t>> downcast_tokens(
     Network& net, const BfsTree& tree,
-    const std::vector<std::uint64_t>& tokens) {
+    const std::vector<std::uint64_t>& tokens, std::uint64_t max_token) {
   const std::size_t n = net.n();
-  const auto max_token_bits = net.bandwidth() - 8;
-  for (std::uint64_t token : tokens)
-    PG_REQUIRE(Message::significant_bits(static_cast<std::int64_t>(token)) <=
-                   max_token_bits,
-               "token too wide for CONGEST bandwidth");
+  declare_tokens(net, max_token);
 
   std::vector<std::deque<std::uint64_t>> queue(n);
   std::vector<std::vector<std::uint64_t>> received(n);
@@ -199,7 +206,7 @@ std::vector<std::vector<std::uint64_t>> downcast_tokens(
     net.round([&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
       for (const Incoming& in : node.inbox()) {
-        if (in.msg.kind != kToken || in.msg.num_fields < 1) continue;
+        if (in.msg.kind != kToken) continue;
         const auto token = static_cast<std::uint64_t>(in.msg.at(0));
         received[me].push_back(token);
         queue[me].push_back(token);

@@ -31,20 +31,23 @@ struct BfsTree {
 /// smallest parent id.  Requires a connected topology.
 BfsTree build_bfs_tree(Network& net, NodeId root);
 
-/// Pipelined convergecast: every node starts with a list of 64-bit tokens
-/// (token values must fit in B(n)-8 bits); all tokens are forwarded up the
+/// Pipelined convergecast: every node starts with a list of 64-bit tokens,
+/// each at most `max_token` (the kind's declared domain is [0, max_token],
+/// and max_token must fit in B(n)-8 bits); all tokens are forwarded up the
 /// tree, one token per tree edge per round, and collected at the root.
 /// Completes in O(height + total token count) rounds.
 std::vector<std::uint64_t> upcast_tokens(
     Network& net, const BfsTree& tree,
-    std::vector<std::vector<std::uint64_t>> tokens_per_node);
+    std::vector<std::vector<std::uint64_t>> tokens_per_node,
+    std::uint64_t max_token);
 
 /// Pipelined broadcast: the root streams `tokens` down the tree; every node
 /// ends up having seen all of them.  Returns per-node received tokens
 /// (identical lists; returned per node so callers consume them "locally").
-/// Completes in O(height + token count) rounds.
+/// Completes in O(height + token count) rounds.  `max_token` bounds the
+/// tokens as in upcast_tokens.
 std::vector<std::vector<std::uint64_t>> downcast_tokens(
     Network& net, const BfsTree& tree,
-    const std::vector<std::uint64_t>& tokens);
+    const std::vector<std::uint64_t>& tokens, std::uint64_t max_token);
 
 }  // namespace pg::congest

@@ -16,30 +16,6 @@ namespace {
 constexpr std::uint8_t kSample = 31;   // field 0: quantized own draw
 constexpr std::uint8_t kOneHop = 32;   // field 0: quantized 1-hop min
 
-/// Fixed-point scale: values live in [0, 16) (an Exp(1) draw exceeds 16
-/// with probability e^-16), with 2^-(bits-4) resolution.
-struct Quantizer {
-  int bits;            // total payload bits for a sample
-  std::int64_t scale;  // fixed-point multiplier
-  std::int64_t infinity;
-
-  explicit Quantizer(int bandwidth) {
-    bits = std::clamp(bandwidth - 9, 6, 32);
-    scale = std::int64_t{1} << (bits - 4);
-    infinity = (std::int64_t{1} << bits) - 1;
-  }
-
-  std::int64_t encode(double w) const {
-    const double scaled = w * static_cast<double>(scale);
-    if (scaled >= static_cast<double>(infinity))
-      return infinity;
-    return std::max<std::int64_t>(1, static_cast<std::int64_t>(scaled));
-  }
-  double decode(std::int64_t q) const {
-    return static_cast<double>(q) / static_cast<double>(scale);
-  }
-};
-
 }  // namespace
 
 EstimateResult estimate_two_hop_counts(Network& net,
@@ -53,7 +29,9 @@ EstimateResult estimate_two_hop_counts(Network& net,
     samples =
         3 * static_cast<int>(std::ceil(std::log2(static_cast<double>(n)))) + 8;
 
-  const Quantizer quant(net.bandwidth());
+  const Quantizer quant(net.bandwidth() - 9);
+  net.declare(kSample, {{1, quant.infinity}});
+  net.declare(kOneHop, {{1, quant.infinity}});
   const std::int64_t start_rounds = net.stats().rounds;
 
   std::vector<double> sum_of_mins(n, 0.0);
@@ -86,14 +64,8 @@ EstimateResult estimate_two_hop_counts(Network& net,
     net.round([&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
       std::int64_t best = my_draw[me];
-      // Field-count guard + value clamp: adversarial corruption can forge
-      // the kind byte of a field-less message or flip payload bits; both
-      // the guard and the clamp are identities on fault-free traffic
-      // (legal samples are in [1, infinity]).
       for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kSample && in.msg.num_fields >= 1)
-          best = std::min(best, std::clamp(in.msg.at(0), std::int64_t{0},
-                                           quant.infinity));
+        if (in.msg.kind == kSample) best = std::min(best, in.msg.at(0));
       one_hop_min[me] = static_cast<std::uint32_t>(best);
       node.broadcast(Message{kOneHop, {best}});
     });
@@ -104,9 +76,7 @@ EstimateResult estimate_two_hop_counts(Network& net,
       const auto me = static_cast<std::size_t>(node.id());
       std::int64_t best = one_hop_min[me];
       for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kOneHop && in.msg.num_fields >= 1)
-          best = std::min(best, std::clamp(in.msg.at(0), std::int64_t{0},
-                                           quant.infinity));
+        if (in.msg.kind == kOneHop) best = std::min(best, in.msg.at(0));
       if (best < quant.infinity) {
         saw_member[me] = 1;
         sum_of_mins[me] += quant.decode(best);

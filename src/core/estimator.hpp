@@ -8,12 +8,38 @@
 // bandwidth — the paper's "O(log n) bits of precision suffice".
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "congest/network.hpp"
 #include "util/rng.hpp"
 
 namespace pg::core {
+
+/// Fixed-point scale: values live in [0, 16) (an Exp(1) draw exceeds 16
+/// with probability e^-16), with 2^-(bits-4) resolution.  A sample costs
+/// `payload_bits` clamped to [6, 32], so every code (infinity included)
+/// is < 2^32; codes of positive draws are >= 1.
+struct Quantizer {
+  std::int64_t scale;  // fixed-point multiplier
+  std::int64_t infinity;
+
+  explicit Quantizer(int payload_bits) {
+    const int bits = std::clamp(payload_bits, 6, 32);  // bits per sample
+    scale = std::int64_t{1} << (bits - 4);
+    infinity = (std::int64_t{1} << bits) - 1;
+  }
+
+  std::int64_t encode(double w) const {
+    const double scaled = w * static_cast<double>(scale);
+    if (scaled >= static_cast<double>(infinity)) return infinity;
+    return std::max<std::int64_t>(1, static_cast<std::int64_t>(scaled));
+  }
+  double decode(std::int64_t q) const {
+    return static_cast<double>(q) / static_cast<double>(scale);
+  }
+};
 
 struct EstimateResult {
   std::vector<double> estimate;   // per vertex: ~|N^2[v] ∩ U|; 0 if none

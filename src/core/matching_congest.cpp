@@ -42,6 +42,8 @@ MatchingCongestResult solve_maximal_matching_congest(Network& net) {
   std::vector<char> nbr_matched(g.adjacency_array().size(), 0);
   std::vector<std::uint32_t> cursor(n, 0);
   std::vector<NodeId> proposed_to(n, -1);
+  net.declare(kPropose, {});
+  net.declare(kMatched, {});
 
   // Termination: once no unmatched vertex has an unmatched neighbor, no
   // proposals are sent and the loop exits (checked globally, as usual).
@@ -98,14 +100,10 @@ MatchingCongestResult solve_maximal_matching_congest(Network& net) {
   const bool adversarial = net.faults_active();
   for (std::size_t v = 0; v < n; ++v) {
     if (matched[v] == 0) continue;
-    const bool consistent =
-        partner[v] >= 0 && static_cast<std::size_t>(partner[v]) < n &&
-        partner[static_cast<std::size_t>(partner[v])] ==
-            static_cast<NodeId>(v);
-    if (adversarial) {
-      if (!consistent) continue;  // one-sided match: leave v out of the cover
-    } else {
-      PG_CHECK(consistent, "matching partners disagree");
+    if (partner[static_cast<std::size_t>(partner[v])] !=
+        static_cast<NodeId>(v)) {
+      PG_CHECK(adversarial, "matching partners disagree");
+      continue;  // one-sided match: leave v out of the cover
     }
     result.cover.insert(static_cast<VertexId>(v));
     if (static_cast<NodeId>(v) < partner[v])

@@ -6,10 +6,12 @@
 #include <limits>
 
 #include "core/estimator.hpp"
+#include "core/solver_util.hpp"
 #include "graph/ops.hpp"
 
 namespace pg::core {
 
+using congest::FieldRange;
 using congest::Incoming;
 using congest::Message;
 using congest::Network;
@@ -77,17 +79,8 @@ MdsCongestResult solve_g2_mds_congest(Network& net, Rng& rng,
       static_cast<int>(std::ceil(std::log2(static_cast<double>(n))));
   const int max_phases =
       config.max_phases > 0 ? config.max_phases : 40 * (log_n + 1);
-  const std::uint64_t r_range = static_cast<std::uint64_t>(n) * n * n * n;
-
-  // Defensive caps for adversarial traffic: corrupted payloads are clamped
-  // back into the legal domain so relayed values still pass the bandwidth
-  // check at small n and density codes cannot shift past 2^62.  Both caps
-  // are identities on fault-free traffic.
-  const bool adversarial = net.faults_active();
-  const std::int64_t max_draw = static_cast<std::int64_t>(
-      std::min<std::uint64_t>(r_range - 1, std::uint64_t{1} << 62));
-  const auto rho_code_cap =
-      static_cast<std::uint8_t>(std::min(62, net.bandwidth() - 9));
+  // Saturated so every draw fits a non-negative message field.
+  const std::int64_t r_range = saturating_pow(n, 4);
 
   // Byte flags, not vector<bool>: nodes write their own entry from inside
   // (possibly parallel) rounds, and vector<bool> packs 64 nodes per word.
@@ -95,22 +88,22 @@ MdsCongestResult solve_g2_mds_congest(Network& net, Rng& rng,
   std::vector<std::uint8_t> rho(n, 0);
   std::vector<NodeId> vote_of(n, -1);
 
-  // Fixed-point quantizer settings mirrored from the estimator: the voting
-  // minima reuse the same idea but carry an explicit candidate id.
-  // The voting message carries a candidate id (≈ bandwidth/16 bits) next
-  // to the sample, so its fixed-point payload is a little narrower.
-  const int qbits =
-      std::clamp(net.bandwidth() - 9 - net.bandwidth() / 16 - 1, 6, 32);
-  const std::int64_t qscale = std::int64_t{1} << (qbits - 4);
-  const std::int64_t qinf = (std::int64_t{1} << qbits) - 1;
-  auto qencode = [&](double w) {
-    const double scaled = w * static_cast<double>(qscale);
-    if (scaled >= static_cast<double>(qinf)) return qinf;
-    return std::max<std::int64_t>(1, static_cast<std::int64_t>(scaled));
-  };
-  auto qdecode = [&](std::int64_t q) {
-    return static_cast<double>(q) / static_cast<double>(qscale);
-  };
+  // The estimator's quantizer: the voting minima reuse the same idea but
+  // carry an explicit candidate id (≈ bandwidth/16 bits) next to the
+  // sample, so their fixed-point payload is a little narrower.
+  const Quantizer quant(net.bandwidth() - 9 - net.bandwidth() / 16 - 1);
+  const std::int64_t qinf = quant.infinity;
+  // Rounded densities are powers of two up to the largest that fits the
+  // bandwidth; ids are vertex ids, draws r_v ∈ [n^4], votes quantized.
+  const FieldRange id{0, static_cast<std::int64_t>(n) - 1};
+  net.declare(kRho, {{0, density_value(static_cast<std::uint8_t>(
+                             std::min(62, net.bandwidth() - 9)))}});
+  net.declare(kCandDraw, {{0, r_range - 1}});
+  net.declare(kMinCand, {{0, r_range - 1}, id});
+  net.declare(kVoteW, {id, {1, qinf}});
+  net.declare(kVoteMin, {{1, qinf}});
+  net.declare(kJoined, {});
+  net.declare(kCovered1, {});
   const int samples =
       config.estimator_samples > 0 ? config.estimator_samples : 3 * log_n + 8;
 
@@ -129,14 +122,14 @@ MdsCongestResult solve_g2_mds_congest(Network& net, Rng& rng,
   std::vector<std::pair<std::int64_t, NodeId>> best1(n);
   std::vector<double> vote_sum(n);
   std::vector<std::uint16_t> vote_samples_seen(n);
-  // Quantized draws fit 32 bits (qbits clamps at 32), so the voting
+  // Quantized draws fit 32 bits (Quantizer clamps at 32), so the voting
   // arrays store them narrow; messages still carry int64.
   std::vector<std::uint32_t> voter_draw(n);
   std::vector<std::uint32_t> direct_min(n);
   std::vector<char> joined(n);
   // Candidate neighbors of each node as (id, adjacency slot, forwarded
   // minimum).  The entries double as the per-sample vote-forwarding
-  // accumulator (min = 0 marks "no vote seen" — qencode never returns 0,
+  // accumulator (min = 0 marks "no vote seen" — encode never returns 0,
   // so the sentinel is out of band), replacing a per-node std::map whose
   // node churn dominated the cell's heap at large n.
   // Inbox order is sender-ascending, so each list is sorted by id.
@@ -160,10 +153,8 @@ MdsCongestResult solve_g2_mds_congest(Network& net, Rng& rng,
     // --- step 2: candidates = 4-hop maxima of ρ ---------------------------
     best_rho.assign(rho.begin(), rho.end());
     auto fold_rho = [&](std::size_t me, const Incoming& in) {
-      if (in.msg.kind != kRho || in.msg.num_fields < 1) return;
-      std::uint8_t code = density_code(in.msg.at(0));
-      if (adversarial) code = std::min(code, rho_code_cap);
-      best_rho[me] = std::max(best_rho[me], code);
+      if (in.msg.kind == kRho)
+        best_rho[me] = std::max(best_rho[me], density_code(in.msg.at(0)));
     };
     for (int hop = 0; hop < 4; ++hop) {
       net.round([&](NodeView& node) {
@@ -188,7 +179,8 @@ MdsCongestResult solve_g2_mds_congest(Network& net, Rng& rng,
     // identical).
     for (std::size_t v = 0; v < n; ++v)
       if (is_candidate[v])
-        draw[v] = static_cast<std::int64_t>(rng.next_below(r_range));
+        draw[v] = static_cast<std::int64_t>(
+            rng.next_below(static_cast<std::uint64_t>(r_range)));
     net.round([&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
       candidate_neighbors[me].clear();
@@ -201,11 +193,9 @@ MdsCongestResult solve_g2_mds_congest(Network& net, Rng& rng,
       auto& best = best1[me];
       if (is_candidate[me]) best = {draw[me], node.id()};
       for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kCandDraw && in.msg.num_fields >= 1) {
+        if (in.msg.kind == kCandDraw) {
           candidate_neighbors[me].push_back({in.from, in.reply_slot, 0});
-          std::int64_t r = in.msg.at(0);
-          if (adversarial) r = std::clamp<std::int64_t>(r, 0, max_draw);
-          best = std::min(best, {r, in.from});
+          best = std::min(best, {in.msg.at(0), in.from});
         }
       if (best.second != -1)
         node.broadcast(Message{kMinCand, {best.first, best.second}});
@@ -214,12 +204,9 @@ MdsCongestResult solve_g2_mds_congest(Network& net, Rng& rng,
       const auto me = static_cast<std::size_t>(node.id());
       auto best = best1[me];
       for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kMinCand && in.msg.num_fields >= 2)
-          best = std::min(
-              best,
-              {in.msg.at(0), static_cast<NodeId>(std::clamp<std::int64_t>(
-                                 in.msg.at(1), -1,
-                                 static_cast<std::int64_t>(n) - 1))});
+        if (in.msg.kind == kMinCand)
+          best = std::min(best,
+                          {in.msg.at(0), static_cast<NodeId>(in.msg.at(1))});
       vote_of[me] = covered[me] != 0 ? -1 : best.second;
     });
 
@@ -233,7 +220,7 @@ MdsCongestResult solve_g2_mds_congest(Network& net, Rng& rng,
       // node order reproduces the serial engine's Rng stream exactly.
       for (std::size_t v = 0; v < n; ++v)
         voter_draw[v] = static_cast<std::uint32_t>(
-            vote_of[v] == -1 ? qinf : qencode(rng.next_exponential()));
+            vote_of[v] == -1 ? qinf : quant.encode(rng.next_exponential()));
       net.round([&](NodeView& node) {
         const auto me = static_cast<std::size_t>(node.id());
         if (vote_of[me] == -1) return;
@@ -255,10 +242,9 @@ MdsCongestResult solve_g2_mds_congest(Network& net, Rng& rng,
             vote_of[me] != -1)
           direct = std::min<std::int64_t>(direct, voter_draw[me]);
         for (const Incoming& in : node.inbox()) {
-          if (in.msg.kind != kVoteW || in.msg.num_fields < 2) continue;
+          if (in.msg.kind != kVoteW) continue;
           const auto cand = static_cast<NodeId>(in.msg.at(0));
-          const std::int64_t q =
-              std::clamp(in.msg.at(1), std::int64_t{1}, qinf);
+          const std::int64_t q = in.msg.at(1);
           if (cand == node.id()) {
             direct = std::min(direct, q);
             continue;
@@ -284,11 +270,9 @@ MdsCongestResult solve_g2_mds_congest(Network& net, Rng& rng,
         if (!is_candidate[me]) return;
         std::int64_t best = direct_min[me];
         for (const Incoming& in : node.inbox())
-          if (in.msg.kind == kVoteMin && in.msg.num_fields >= 1)
-            best = std::min(best,
-                            std::clamp(in.msg.at(0), std::int64_t{1}, qinf));
+          if (in.msg.kind == kVoteMin) best = std::min(best, in.msg.at(0));
         if (best < qinf) {
-          vote_sum[me] += qdecode(best);
+          vote_sum[me] += quant.decode(best);
           ++vote_samples_seen[me];
         }
       });

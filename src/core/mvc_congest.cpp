@@ -7,6 +7,7 @@
 
 #include "congest/primitives.hpp"
 #include "core/mvc_centralized.hpp"
+#include "core/solver_util.hpp"
 #include "core/trivial.hpp"
 #include "graph/matching.hpp"
 #include "graph/ops.hpp"
@@ -58,6 +59,36 @@ FEdge decode_f_edge(std::uint64_t n, std::uint64_t token) {
   return e;
 }
 
+/// One Phase I round that applies selections: R-vertices that heard a
+/// kSelect join the cover, then `then(node)` runs in the same round.
+/// Joins land in the per-node byte flags `joined` (never vector<bool>:
+/// nodes write their own entry from inside possibly-parallel rounds) and
+/// fold into the shared VertexSet after the round.
+template <typename Then>
+void absorb_selections(Network& net, std::vector<char>& in_r,
+                       std::vector<char>& joined, MvcCongestResult& result,
+                       Then&& then) {
+  net.round([&](NodeView& node) {
+    const auto me = static_cast<std::size_t>(node.id());
+    for (const Incoming& in : node.inbox())
+      if (in.msg.kind == kSelect && in_r[me] != 0) {
+        in_r[me] = 0;  // joined S
+        joined[me] = 1;
+      }
+    then(node);
+  });
+  for (std::size_t v = 0; v < joined.size(); ++v)
+    if (joined[v] != 0) {
+      result.cover.insert(static_cast<VertexId>(v));
+      joined[v] = 0;
+    }
+}
+
+/// The R-membership flag (0 or 1) announced after the select step.
+void announce_r(NodeView& node, const std::vector<char>& in_r) {
+  node.broadcast(Message{kStatus, {in_r[static_cast<std::size_t>(node.id())]}});
+}
+
 /// Deterministic Phase I of Algorithm 1 (max-id-in-2-hops symmetry
 /// breaking).  Mutates in_r / result.cover; returns when no center with
 /// more than l remaining neighbors is left anywhere.
@@ -66,44 +97,25 @@ void deterministic_phase1(Network& net, int l, std::vector<char>& in_r,
   const std::size_t n = net.n();
   // Byte flags throughout (never vector<bool>): nodes write their own
   // entry from inside possibly-parallel rounds, and vector<bool> packs 64
-  // nodes per word.  Cover joins land in a per-node flag and fold into the
-  // shared VertexSet between rounds for the same reason.
+  // nodes per word.
   std::vector<char> in_c(n, 1);
   std::vector<char> is_candidate(n, 0);
   std::vector<char> joined(n, 0);
   std::vector<NodeId> max1(n, -1);
-  auto fold_joins = [&] {
-    for (std::size_t v = 0; v < n; ++v)
-      if (joined[v] != 0) {
-        result.cover.insert(static_cast<VertexId>(v));
-        joined[v] = 0;
-      }
-  };
 
   bool any_candidate = true;
   while (any_candidate) {
     // Round 1: apply selections from the previous iteration, then announce
     // R-membership.
-    net.round([&](NodeView& node) {
-      const auto me = static_cast<std::size_t>(node.id());
-      for (const Incoming& in : node.inbox()) {
-        if (in.msg.kind == kSelect && in_r[me] != 0) {
-          in_r[me] = 0;  // joined S
-          joined[me] = 1;
-        }
-      }
-      node.broadcast(Message{kStatus, {in_r[me] != 0 ? 1 : 0}});
-    });
-    fold_joins();
+    absorb_selections(net, in_r, joined, result,
+                      [&](NodeView& node) { announce_r(node, in_r); });
 
     // Round 2: count R-neighbors; candidates announce themselves.
     net.round([&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
       int count = 0;
       for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kStatus && in.msg.num_fields >= 1 &&
-            in.msg.at(0) == 1)
-          ++count;
+        if (in.msg.kind == kStatus && in.msg.at(0) == 1) ++count;
       is_candidate[me] = in_c[me] != 0 && count > l ? 1 : 0;
       if (is_candidate[me] != 0) node.broadcast(Message{kCandidate, {0}});
     });
@@ -128,15 +140,9 @@ void deterministic_phase1(Network& net, int l, std::vector<char>& in_r,
     net.round([&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
       NodeId best = max1[me];
-      // Field-count guard + id clamp: adversarial corruption can flip
-      // payload bits (an out-of-range id re-broadcast below would blow the
-      // bandwidth check at small n) or forge the kind of a field-less
-      // message.  Both are identities on fault-free traffic.
       for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kMaxCand && in.msg.num_fields >= 1)
-          best = std::max(best, static_cast<NodeId>(std::clamp<std::int64_t>(
-                                    in.msg.at(0), -1,
-                                    static_cast<std::int64_t>(n) - 1)));
+        if (in.msg.kind == kMaxCand)
+          best = std::max(best, static_cast<NodeId>(in.msg.at(0)));
       if (is_candidate[me] != 0 && best == node.id()) {
         // Selected: N(me) ∩ R joins the cover (learned next round 1).
         in_c[me] = 0;
@@ -156,40 +162,26 @@ void randomized_phase1(Network& net, double epsilon, Rng& rng,
                        std::vector<char>& in_r, MvcCongestResult& result) {
   const std::size_t n = net.n();
   const int threshold = static_cast<int>(std::ceil(8.0 / epsilon)) + 2;
-  const std::uint64_t r_range = static_cast<std::uint64_t>(n) * n * n * n;
+  // Saturated so every draw fits a non-negative message field.
+  const auto r_range = static_cast<std::uint64_t>(saturating_pow(n, 4));
   const int phase_cap =
       200 *
       (static_cast<int>(std::ceil(std::log2(std::max<double>(n, 2)))) + 1);
 
   // Byte flags, not vector<bool> — written per-node from inside the
-  // (possibly parallel) rounds.  Cover joins fold between rounds.
+  // (possibly parallel) rounds.
   std::vector<char> in_c(n, 1);
   std::vector<char> is_candidate(n, 0);
   std::vector<char> joined(n, 0);
   std::vector<int> r_deg(n, 0);
   std::vector<std::int64_t> draw(n, 0);
-  auto fold_joins = [&] {
-    for (std::size_t v = 0; v < n; ++v)
-      if (joined[v] != 0) {
-        result.cover.insert(static_cast<VertexId>(v));
-        joined[v] = 0;
-      }
-  };
 
   bool any_candidate = true;
   int phases = 0;
   while (any_candidate && phases < phase_cap) {
     // Round 1: apply takes, announce R status.
-    net.round([&](NodeView& node) {
-      const auto me = static_cast<std::size_t>(node.id());
-      for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kSelect && in_r[me] != 0) {
-          in_r[me] = 0;
-          joined[me] = 1;
-        }
-      node.broadcast(Message{kStatus, {in_r[me] != 0 ? 1 : 0}});
-    });
-    fold_joins();
+    absorb_selections(net, in_r, joined, result,
+                      [&](NodeView& node) { announce_r(node, in_r); });
 
     // Round 2: update d_R; below-threshold centers retire; candidates
     // draw and announce.  Whether a center survives this round depends on
@@ -206,9 +198,7 @@ void randomized_phase1(Network& net, double epsilon, Rng& rng,
       const auto me = static_cast<std::size_t>(node.id());
       int count = 0;
       for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kStatus && in.msg.num_fields >= 1 &&
-            in.msg.at(0) == 1)
-          ++count;
+        if (in.msg.kind == kStatus && in.msg.at(0) == 1) ++count;
       r_deg[me] = count;
       if (in_c[me] != 0 && count <= threshold) in_c[me] = 0;
       is_candidate[me] = in_c[me];
@@ -228,7 +218,7 @@ void randomized_phase1(Network& net, double epsilon, Rng& rng,
       std::int64_t chosen_draw = -1;
       std::vector<std::uint32_t> candidate_slots;
       for (const Incoming& in : node.inbox()) {
-        if (in.msg.kind != kCandidate || in.msg.num_fields < 1) continue;
+        if (in.msg.kind != kCandidate) continue;
         candidate_slots.push_back(in.reply_slot);
         if (in.msg.at(0) > chosen_draw ||
             (in.msg.at(0) == chosen_draw && in.from > chosen)) {
@@ -246,9 +236,7 @@ void randomized_phase1(Network& net, double epsilon, Rng& rng,
       if (is_candidate[me] == 0) return;
       int votes = 0;
       for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kVote && in.msg.num_fields >= 1 &&
-            in.msg.at(0) == node.id())
-          ++votes;
+        if (in.msg.kind == kVote && in.msg.at(0) == node.id()) ++votes;
       if (8 * votes >= r_deg[me] && votes > 0) {
         in_c[me] = 0;
         node.broadcast(Message{kSelect, {}});
@@ -264,15 +252,7 @@ void randomized_phase1(Network& net, double epsilon, Rng& rng,
     deterministic_phase1(net, l, in_r, result);
   } else {
     // Drain take messages possibly still in flight from the final phase.
-    net.round([&](NodeView& node) {
-      const auto me = static_cast<std::size_t>(node.id());
-      for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kSelect && in_r[me] != 0) {
-          in_r[me] = 0;
-          joined[me] = 1;
-        }
-    });
-    fold_joins();
+    absorb_selections(net, in_r, joined, result, [](NodeView&) {});
   }
 }
 
@@ -281,6 +261,7 @@ void randomized_phase1(Network& net, double epsilon, Rng& rng,
 void run_phase2(Network& net, const std::vector<char>& in_u,
                 const MvcCongestConfig& config, MvcCongestResult& result) {
   const std::size_t n = net.n();
+  const auto last = static_cast<VertexId>(n - 1);
   std::vector<std::vector<std::uint64_t>> tokens(n);
   net.round([&](NodeView& node) {
     const auto me = static_cast<std::size_t>(node.id());
@@ -289,7 +270,7 @@ void run_phase2(Network& net, const std::vector<char>& in_u,
   net.round([&](NodeView& node) {
     const auto me = static_cast<std::size_t>(node.id());
     for (const Incoming& in : node.inbox()) {
-      if (in.msg.kind != kUStatus || in.msg.num_fields < 1) continue;
+      if (in.msg.kind != kUStatus) continue;
       const bool nbr_in_u = in.msg.at(0) == 1;
       if (nbr_in_u)  // v is responsible for its edges into U (Lemma 2)
         tokens[me].push_back(
@@ -299,23 +280,14 @@ void run_phase2(Network& net, const std::vector<char>& in_u,
 
   const NodeId leader = congest::elect_min_id_leader(net);
   const congest::BfsTree tree = congest::build_bfs_tree(net, leader);
-  const std::vector<std::uint64_t> raw =
-      congest::upcast_tokens(net, tree, std::move(tokens));
+  const std::vector<std::uint64_t> raw = congest::upcast_tokens(
+      net, tree, std::move(tokens), encode_f_edge(n, last, last, true, true));
 
   // --- leader-local computation (free in the CONGEST model) --------------
   std::set<std::pair<VertexId, VertexId>> f_edges;
   std::vector<bool> known_in_u(n, false);
   std::map<VertexId, std::vector<VertexId>> u_neighbors;  // w -> N(w) ∩ U
-  const bool adversarial = net.faults_active();
   for (std::uint64_t token : raw) {
-    // A corrupted kToken payload decodes to arbitrary ids; indexing the
-    // leader's tables with them would be out of bounds, so out-of-range
-    // tokens are rejected — an invariant violation unless an adversary is
-    // active, in which case the degraded cover goes to the certifier.
-    if ((token >> 2) / n >= n) {
-      PG_CHECK(adversarial, "F-edge token out of range");
-      continue;
-    }
     const FEdge e = decode_f_edge(n, token);
     const auto key = std::minmax(e.u, e.v);
     f_edges.insert({key.first, key.second});
@@ -334,28 +306,7 @@ void run_phase2(Network& net, const std::vector<char>& in_u,
   for (std::size_t v = 0; v < n; ++v)
     if (known_in_u[v]) u_list.push_back(static_cast<VertexId>(v));
   result.remainder_size = u_list.size();
-
-  std::vector<VertexId> to_h(n, -1);
-  for (std::size_t i = 0; i < u_list.size(); ++i)
-    to_h[static_cast<std::size_t>(u_list[i])] = static_cast<VertexId>(i);
-
-  graph::GraphBuilder h_builder(static_cast<VertexId>(u_list.size()));
-  for (const auto& [u, v] : f_edges) {  // direct edges inside U
-    if (to_h[static_cast<std::size_t>(u)] != -1 &&
-        to_h[static_cast<std::size_t>(v)] != -1)
-      h_builder.add_edge(to_h[static_cast<std::size_t>(u)],
-                         to_h[static_cast<std::size_t>(v)]);
-  }
-  for (auto& [w, nbrs] : u_neighbors) {  // pairs through a common neighbor
-    (void)w;
-    std::sort(nbrs.begin(), nbrs.end());
-    nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
-    for (std::size_t i = 0; i < nbrs.size(); ++i)
-      for (std::size_t j = i + 1; j < nbrs.size(); ++j)
-        h_builder.add_edge(to_h[static_cast<std::size_t>(nbrs[i])],
-                           to_h[static_cast<std::size_t>(nbrs[j])]);
-  }
-  const Graph h = std::move(h_builder).build();
+  const Graph h = remainder_square(n, u_list, f_edges, u_neighbors);
 
   VertexSet h_cover(h.num_vertices());
   switch (config.leader_solver) {
@@ -381,7 +332,8 @@ void run_phase2(Network& net, const std::vector<char>& in_u,
   for (VertexId hv : h_cover.to_vector())
     solution_tokens.push_back(
         static_cast<std::uint64_t>(u_list[static_cast<std::size_t>(hv)]));
-  const auto received = congest::downcast_tokens(net, tree, solution_tokens);
+  const auto received =
+      congest::downcast_tokens(net, tree, solution_tokens, n - 1);
   for (std::size_t v = 0; v < n; ++v)
     for (std::uint64_t token : received[v])
       if (token == v) result.cover.insert(static_cast<VertexId>(v));
@@ -412,6 +364,13 @@ MvcCongestResult run_algorithm1(Network& net, const MvcCongestConfig& config,
   result.epsilon_inverse =
       static_cast<int>(std::ceil(1.0 / config.epsilon));
 
+  const auto last = static_cast<std::int64_t>(n) - 1;
+  net.declare(kStatus, {{0, 1}});
+  net.declare(kCandidate, {{0, saturating_pow(n, 4) - 1}});
+  net.declare(kMaxCand, {{-1, last}});
+  net.declare(kSelect, {});
+  net.declare(kUStatus, {{0, 1}});
+  net.declare(kVote, {{0, last}});
   std::vector<char> in_r(n, 1);
   phase1(net, in_r, result);
   result.phase1_rounds = net.stats().rounds;

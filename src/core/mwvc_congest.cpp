@@ -53,10 +53,16 @@ MwvcCongestResult solve_g2_mwvc_congest(Network& net, const VertexWeights& w,
   PG_REQUIRE(w.size() == g.num_vertices(), "weights/graph size mismatch");
   PG_REQUIRE(graph::is_connected(g), "Theorem 7 assumes a connected network");
   const std::size_t n = static_cast<std::size_t>(g.num_vertices());
-  const Weight max_weight = saturating_pow(n, 4);
+  const Weight max_weight = std::max<Weight>(saturating_pow(n, 4), 16);
   for (VertexId v = 0; v < g.num_vertices(); ++v)
-    PG_REQUIRE(w[v] >= 0 && w[v] <= std::max<Weight>(max_weight, 16),
+    PG_REQUIRE(w[v] >= 0 && w[v] <= max_weight,
                "weights must fit in O(log n) bits (<= n^4)");
+  net.declare(kWeight, {{0, max_weight}});
+  net.declare(kStatus, {{0, 1}});
+  net.declare(kCandidate, {});
+  net.declare(kMaxCand, {{-1, static_cast<std::int64_t>(n) - 1}});
+  net.declare(kSelect, {{0, 62}, {1, max_weight}});  // class i, w_min(c)
+  net.declare(kUStatus, {{0, 1}});
 
   const int l = static_cast<int>(std::ceil(1.0 / config.epsilon));
 
@@ -100,7 +106,7 @@ MwvcCongestResult solve_g2_mwvc_congest(Network& net, const VertexWeights& w,
     const auto me = static_cast<std::size_t>(node.id());
     Weight lowest = 0;
     for (const Incoming& in : node.inbox()) {
-      if (in.msg.kind != kWeight || in.msg.num_fields < 1) continue;
+      if (in.msg.kind != kWeight) continue;
       const Weight wt = in.msg.at(0);
       nbr_weight[offsets[me] + in.reply_slot] = wt;
       if (wt > 0 && (lowest == 0 || wt < lowest)) lowest = wt;
@@ -119,17 +125,13 @@ MwvcCongestResult solve_g2_mwvc_congest(Network& net, const VertexWeights& w,
     net.round([&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
       for (const Incoming& in : node.inbox()) {
-        if (in.msg.kind != kSelect || in.msg.num_fields < 2 || in_r[me] == 0)
-          continue;
+        if (in.msg.kind != kSelect || in_r[me] == 0) continue;
         const int cls = static_cast<int>(in.msg.at(0));
         const Weight wmin = in.msg.at(1);
-        // Corrupted payloads can carry any (class, w_min) pair; reject
-        // combinations whose shifted class bounds would overflow.  Identity
-        // for legal announcements, whose w_min·2^{cls+1} stays within the
-        // weight cap enforced on entry.
-        if (cls < 0 || cls > 62 || wmin <= 0 ||
-            wmin > (std::numeric_limits<Weight>::max() >> (cls + 1)))
-          continue;
+        // Each field is in range, but a corrupted pair's class bounds can
+        // still overflow; legal announcements keep w_min·2^{cls+1} within
+        // the weight cap enforced on entry.
+        if (wmin > (std::numeric_limits<Weight>::max() >> (cls + 1))) continue;
         const Weight low = wmin << cls;
         if (w[node.id()] >= low && w[node.id()] < low * 2) {
           in_r[me] = 0;
@@ -145,7 +147,7 @@ MwvcCongestResult solve_g2_mwvc_congest(Network& net, const VertexWeights& w,
       const auto me = static_cast<std::size_t>(node.id());
       const std::size_t base = offsets[me];
       for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kStatus && in.msg.num_fields >= 1)
+        if (in.msg.kind == kStatus)
           nbr_in_r[base + in.reply_slot] = in.msg.at(0) == 1 ? 1 : 0;
 
       is_candidate[me] = 0;
@@ -154,8 +156,8 @@ MwvcCongestResult solve_g2_mwvc_congest(Network& net, const VertexWeights& w,
         // Accumulate W_i and w*_i over active neighbors.  Classes of
         // positive int64 weights over w_min >= 1 are 0..62, so a fixed
         // table indexed by class replaces a per-node ordered map; entries
-        // [0, top] are live.  Sums are 128-bit: corrupted weights reach
-        // 2^63, and a few of them overflow int64.
+        // [0, top] are live.  Sums are 128-bit: weights reach the int64
+        // cap at large n, and a few of them overflow int64.
         std::array<std::pair<__int128, Weight>, 63> stats;  // i -> (sum, max)
         int top = -1;
         for (std::size_t e = base; e < base + node.degree(); ++e) {
@@ -203,13 +205,9 @@ MwvcCongestResult solve_g2_mwvc_congest(Network& net, const VertexWeights& w,
     net.round([&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
       NodeId best = max1[me];
-      // Guard + clamp: a corrupted out-of-range id re-broadcast below would
-      // blow the bandwidth check at small n.  Identity fault-free.
       for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kMaxCand && in.msg.num_fields >= 1)
-          best = std::max(best, static_cast<NodeId>(std::clamp<std::int64_t>(
-                                    in.msg.at(0), -1,
-                                    static_cast<std::int64_t>(n) - 1)));
+        if (in.msg.kind == kMaxCand)
+          best = std::max(best, static_cast<NodeId>(in.msg.at(0)));
       if (is_candidate[me] != 0 && best == node.id())
         node.broadcast(Message{
             kSelect, {chosen_class[me], w_min[me]}});
@@ -242,9 +240,7 @@ MwvcCongestResult solve_g2_mwvc_congest(Network& net, const VertexWeights& w,
   net.round([&](NodeView& node) {
     const auto me = static_cast<std::size_t>(node.id());
     for (const Incoming& in : node.inbox()) {
-      if (in.msg.kind != kUStatus || in.msg.num_fields < 1 ||
-          in.msg.at(0) != 1)
-        continue;
+      if (in.msg.kind != kUStatus || in.msg.at(0) != 1) continue;
       // F-edge token: 1 | u | v | u_in_u | v_in_u   (edge into U).
       const auto a = static_cast<std::uint64_t>(node.id());
       const auto b = static_cast<std::uint64_t>(in.from);
@@ -263,7 +259,11 @@ MwvcCongestResult solve_g2_mwvc_congest(Network& net, const VertexWeights& w,
 
   const NodeId leader = congest::elect_min_id_leader(net);
   const congest::BfsTree tree = congest::build_bfs_tree(net, leader);
-  const auto raw = congest::upcast_tokens(net, tree, std::move(tokens));
+  // Largest edge token: packed (n-1, n-1, 1, 1) over a low 1; largest
+  // weight token: ((n-1)·base + w_max) over a low 0.
+  const auto raw = congest::upcast_tokens(
+      net, tree, std::move(tokens),
+      std::max(8 * n * n - 1, 2 * (n * weight_base - 1)));
 
   // Leader-local reconstruction of H = G^2[U] with weights.
   std::set<std::pair<VertexId, VertexId>> f_edges;
@@ -271,16 +271,19 @@ MwvcCongestResult solve_g2_mwvc_congest(Network& net, const VertexWeights& w,
   std::map<VertexId, std::vector<VertexId>> u_neighbors;
   const bool adversarial = net.faults_active();
   for (std::uint64_t token : raw) {
-    if (token & 1u) {  // edge token
-      std::uint64_t packed = token >> 1;
-      // Corrupted kToken payloads decode arbitrarily; malformed or
-      // out-of-range tokens would index the leader's tables out of bounds,
-      // so they are rejected — a hard invariant unless an adversary is
-      // active, in which case the degraded cover goes to the certifier.
-      if ((packed & 1u) != 1u || (packed >> 2) / n >= n) {
-        PG_CHECK(adversarial, "malformed edge token");
-        continue;
-      }
+    std::uint64_t packed = token >> 1;
+    const bool edge = (token & 1u) != 0;
+    // kToken's domain spans both token shapes, so a corrupted token can be
+    // in range yet malformed: an edge token without its marker bit or with
+    // a sender id >= n, a weight token naming a vertex id >= n.  It is
+    // rejected — a hard invariant unless an adversary is active, in which
+    // case the degraded cover goes to the certifier.
+    if (edge ? (packed & 1u) != 1u || (packed >> 2) / n >= n
+             : packed / weight_base >= n) {
+      PG_CHECK(adversarial, "malformed token");
+      continue;
+    }
+    if (edge) {
       packed >>= 1;
       const bool sender_in_u = (packed & 1u) != 0;
       packed >>= 1;
@@ -291,11 +294,6 @@ MwvcCongestResult solve_g2_mwvc_congest(Network& net, const VertexWeights& w,
       u_neighbors[sender].push_back(nbr);  // nbr is in U by construction
       if (sender_in_u) u_neighbors[nbr].push_back(sender);
     } else {
-      const std::uint64_t packed = token >> 1;
-      if (packed / weight_base >= n) {
-        PG_CHECK(adversarial, "weight token out of range");
-        continue;
-      }
       u_weight[static_cast<VertexId>(packed / weight_base)] =
           static_cast<Weight>(packed % weight_base);
     }
@@ -307,26 +305,7 @@ MwvcCongestResult solve_g2_mwvc_congest(Network& net, const VertexWeights& w,
     (void)weight;
     u_list.push_back(v);
   }
-  std::vector<VertexId> to_h(n, -1);
-  for (std::size_t i = 0; i < u_list.size(); ++i)
-    to_h[static_cast<std::size_t>(u_list[i])] = static_cast<VertexId>(i);
-
-  graph::GraphBuilder h_builder(static_cast<VertexId>(u_list.size()));
-  for (const auto& [u, v] : f_edges)
-    if (to_h[static_cast<std::size_t>(u)] != -1 &&
-        to_h[static_cast<std::size_t>(v)] != -1)
-      h_builder.add_edge(to_h[static_cast<std::size_t>(u)],
-                         to_h[static_cast<std::size_t>(v)]);
-  for (auto& [mid, nbrs] : u_neighbors) {
-    (void)mid;
-    std::sort(nbrs.begin(), nbrs.end());
-    nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
-    for (std::size_t i = 0; i < nbrs.size(); ++i)
-      for (std::size_t j = i + 1; j < nbrs.size(); ++j)
-        h_builder.add_edge(to_h[static_cast<std::size_t>(nbrs[i])],
-                           to_h[static_cast<std::size_t>(nbrs[j])]);
-  }
-  const Graph h = std::move(h_builder).build();
+  const Graph h = remainder_square(n, u_list, f_edges, u_neighbors);
 
   VertexWeights h_weights(h.num_vertices());
   for (std::size_t i = 0; i < u_list.size(); ++i)
@@ -347,7 +326,8 @@ MwvcCongestResult solve_g2_mwvc_congest(Network& net, const VertexWeights& w,
   for (VertexId hv : h_cover.to_vector())
     solution_tokens.push_back(
         static_cast<std::uint64_t>(u_list[static_cast<std::size_t>(hv)]));
-  const auto received = congest::downcast_tokens(net, tree, solution_tokens);
+  const auto received =
+      congest::downcast_tokens(net, tree, solution_tokens, n - 1);
   for (std::size_t v = 0; v < n; ++v)
     for (std::uint64_t token : received[v])
       if (token == v) result.cover.insert(static_cast<VertexId>(v));

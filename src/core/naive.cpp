@@ -43,7 +43,8 @@ NaiveResult solve_naively_in_congest(Network& net, NaiveProblem problem,
     tokens[static_cast<std::size_t>(u)].push_back(
         static_cast<std::uint64_t>(u) * n + static_cast<std::uint64_t>(v));
   });
-  const auto raw = congest::upcast_tokens(net, tree, std::move(tokens));
+  const auto raw =
+      congest::upcast_tokens(net, tree, std::move(tokens), n * n - 1);
 
   // Leader-local: rebuild G, square it, solve exactly.
   graph::GraphBuilder builder(g.num_vertices());
@@ -69,7 +70,7 @@ NaiveResult solve_naively_in_congest(Network& net, NaiveProblem problem,
   std::vector<std::uint64_t> answer;
   for (VertexId v : chosen.to_vector())
     answer.push_back(static_cast<std::uint64_t>(v));
-  const auto received = congest::downcast_tokens(net, tree, answer);
+  const auto received = congest::downcast_tokens(net, tree, answer, n - 1);
   for (std::size_t v = 0; v < n; ++v)
     for (std::uint64_t token : received[v])
       if (token == v) result.solution.insert(static_cast<VertexId>(v));

@@ -8,6 +8,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "graph/graph.hpp"
 #include "util/check.hpp"
@@ -52,6 +56,42 @@ inline std::int64_t component_budget(graph::VertexId comp_size,
   if (comp_size <= 64) return remaining;
   return std::min<std::int64_t>(
       remaining, std::max<std::int64_t>(50'000, 64'000'000 / comp_size));
+}
+
+/// Lemma 3's leader-side reconstruction of H = G^2[U], shared by the
+/// Theorem 1 and Theorem 7 Phase IIs: U-vertex u_list[i] becomes H-vertex
+/// i, F-edges with both ends in U become H-edges, and the U-neighbors of
+/// each vertex (`u_neighbors`, filtered to u_list, sorted and deduplicated
+/// in place) are joined pairwise.  Fault-free every listed neighbor is in
+/// u_list and every F-edge joins two vertices; tokens an adversary
+/// corrupted within their range can name a neighbor outside u_list or an
+/// F-edge {u, u}, and both are left out of H like an F-edge leaving U.
+inline graph::Graph remainder_square(
+    std::size_t n, const std::vector<graph::VertexId>& u_list,
+    const std::set<std::pair<graph::VertexId, graph::VertexId>>& f_edges,
+    std::map<graph::VertexId, std::vector<graph::VertexId>>& u_neighbors) {
+  std::vector<graph::VertexId> to_h(n, -1);
+  // at(): u_list comes from decoded tokens, and an id past n must throw
+  // rather than write out of bounds.
+  for (std::size_t i = 0; i < u_list.size(); ++i)
+    to_h.at(static_cast<std::size_t>(u_list[i])) =
+        static_cast<graph::VertexId>(i);
+  const auto h = [&](graph::VertexId v) {
+    return to_h[static_cast<std::size_t>(v)];
+  };
+  graph::GraphBuilder builder(static_cast<graph::VertexId>(u_list.size()));
+  for (const auto& [u, v] : f_edges)  // direct edges inside U
+    if (u != v && h(u) != -1 && h(v) != -1) builder.add_edge(h(u), h(v));
+  for (auto& [w, nbrs] : u_neighbors) {  // pairs through a common neighbor
+    (void)w;
+    std::erase_if(nbrs, [&](graph::VertexId v) { return h(v) == -1; });
+    std::sort(nbrs.begin(), nbrs.end());
+    nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
+    for (std::size_t i = 0; i < nbrs.size(); ++i)
+      for (std::size_t j = i + 1; j < nbrs.size(); ++j)
+        builder.add_edge(h(nbrs[i]), h(nbrs[j]));
+  }
+  return std::move(builder).build();
 }
 
 }  // namespace pg::core

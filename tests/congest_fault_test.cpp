@@ -1,7 +1,9 @@
 // Tests for deterministic network-fault injection: the pure hash layer
 // (congest/fault.hpp), Network's adversarial delivery path (drops,
-// structurally-safe corruption, crash-stop schedules and hazards, the
-// round-budget divergence guard), and the sweep-level determinism
+// structurally-safe corruption, the discard of corrupted messages that
+// leave their kind's declared domain, crash-stop schedules and hazards,
+// the round-budget divergence guard), a corruption fuzz over every CONGEST
+// algorithm and primitive, and the sweep-level determinism
 // contract — a fixed (plan, seed) produces byte-identical rows at every
 // CONGEST thread count and across a shard merge, and a fault-free plan
 // is byte-invisible.
@@ -9,13 +11,20 @@
 
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "congest/fault.hpp"
 #include "congest/network.hpp"
+#include "congest/primitives.hpp"
+#include "core/matching_congest.hpp"
+#include "core/mds_congest.hpp"
+#include "core/mvc_congest.hpp"
+#include "core/mwvc_congest.hpp"
 #include "graph/generators.hpp"
 #include "scenario/algorithms.hpp"
 #include "scenario/fault.hpp"
@@ -191,6 +200,95 @@ TEST(NetworkFaults, ZeroFieldCorruptionFlipsOneLowKindBit) {
   EXPECT_EQ(net.stats().faults.messages_corrupted, 2);
 }
 
+TEST(NetworkFaults, DeliveredMessagesOfDeclaredKindsSatisfyTheirDomains) {
+  // Every corruption flavor at rate 1: payload flips of narrow messages
+  // (kId, kPair), kind flips of field-less messages (kPing; bit 0 turns it
+  // into kId, bit 1 into the never-sent, field-less kEcho) and of wide ones
+  // (kWide's fields overflow the narrow width; bit 2 turns it into kPair).
+  // Kinds flipped onto a declared kind of another arity, and payloads
+  // flipped out of range, must be discarded.
+  constexpr std::uint8_t kPair = 8, kEcho = 9, kId = 10, kPing = 11,
+                         kWide = 12;
+  constexpr std::int64_t kBase = std::int64_t{1} << 28;
+  Rng rng(3);
+  Network net(graph::connected_gnp(160, 0.03, rng));  // B(n) = 128 bits
+  const auto n = static_cast<std::int64_t>(net.n());
+  const FieldRange ids{0, n - 1};
+  const FieldRange wide{kBase, kBase + n};
+  const std::map<std::uint8_t, std::vector<FieldRange>> declared = {
+      {kPair, {ids, ids}}, {kEcho, {}}, {kId, {ids}}, {kPing, {}},
+      {kWide, {wide, wide, wide, wide}}};
+  net.declare(kPair, {ids, ids});
+  net.declare(kEcho, {});
+  net.declare(kId, {ids});
+  net.declare(kPing, {});
+  net.declare(kWide, {wide, wide, wide, wide});
+  FaultModel model;
+  model.corrupt_rate = 1.0;
+  model.seed = 29;
+  net.set_fault_model(model);
+
+  std::int64_t delivered = 0;
+  std::map<std::uint8_t, std::int64_t> delivered_declared;
+  for (int r = 0; r < 9; ++r) {
+    net.round([&](NodeView& node) {
+      for (const Incoming& in : node.inbox()) {
+        ++delivered;
+        const auto it = declared.find(in.msg.kind);
+        if (it == declared.end()) continue;
+        ++delivered_declared[in.msg.kind];
+        const std::vector<FieldRange>& fields = it->second;
+        ASSERT_EQ(in.msg.num_fields, fields.size());
+        for (std::size_t i = 0; i < fields.size(); ++i) {
+          EXPECT_GE(in.msg.fields[i], fields[i].lo);
+          EXPECT_LE(in.msg.fields[i], fields[i].hi);
+        }
+      }
+      if (r == 8) return;  // read-only round: observe the last sends
+      const std::int64_t v = node.id();
+      switch ((v + r) % 4) {
+        case 0: node.broadcast(Message{kId, {v}}); break;
+        case 1: node.broadcast(Message{kPing, {}}); break;
+        case 2: node.send_slot(0, Message{kPair, {v, node.neighbors()[0]}});
+                break;
+        default:
+          node.broadcast(Message{kWide, {kBase + v, kBase, kBase + n, kBase}});
+      }
+    });
+  }
+  // Every delivery was corrupted exactly once; the discarded ones are the
+  // gap between corruptions and inbox entries.
+  const FaultStats& faults = net.stats().faults;
+  EXPECT_EQ(faults.messages_corrupted, net.stats().messages);
+  EXPECT_EQ(faults.messages_dropped, 0);
+  EXPECT_GT(faults.messages_corrupted, delivered);
+  // In-range payload flips still arrive, and so do kind flips onto a
+  // declared kind of the same arity; a field-less or wide message never
+  // arrives as itself, since its corruption always flips the kind.
+  for (const std::uint8_t kind : {kPair, kId, kEcho})
+    EXPECT_GT(delivered_declared[kind], 0) << static_cast<int>(kind);
+  EXPECT_EQ(delivered_declared[kPing], 0);
+  EXPECT_EQ(delivered_declared[kWide], 0);
+}
+
+TEST(NetworkFaults, SendsOutsideTheDeclaredDomainAreRejected) {
+  Network net(graph::path_graph(4));
+  net.declare(7, {{0, 3}});
+  net.declare(9, {});
+  const auto send = [&](const Message& m) {
+    net.round([&](NodeView& node) {
+      if (node.id() == 0) node.broadcast(m);
+    });
+  };
+  EXPECT_NO_THROW(send(Message{7, {3}}));
+  EXPECT_NO_THROW(send(Message{8, {-5, 6}}));  // undeclared: unchecked
+  EXPECT_THROW(send(Message{7, {4}}), PreconditionViolation);
+  EXPECT_THROW(send(Message{7, {1, 1}}), PreconditionViolation);
+  EXPECT_THROW(send(Message{9, {0}}), PreconditionViolation);
+  net.reset();  // forgets every declaration
+  EXPECT_NO_THROW(send(Message{7, {4}}));
+}
+
 TEST(NetworkFaults, RoundBudgetGuardsDivergence) {
   FaultModel model;
   model.drop_rate = 0.5;
@@ -224,6 +322,125 @@ TEST(NetworkFaults, CrashHazardIsReproducible) {
   EXPECT_EQ(first.first, second.first);
   EXPECT_EQ(first.second, second.second);
   EXPECT_GT(first.second.faults.nodes_crashed, 0);
+}
+
+// ------------------------------------------------------- corruption fuzz ---
+
+// The named outcomes an adversary may legitimately force: a starved
+// quiescence loop, lost pipeline tokens, an unreached BFS node, a leader
+// flood that never settles.  A field-index, vertex-range or bandwidth
+// contract failure is never among them — it would mean a corrupted
+// payload reached a receiver outside its kind's declared domain.
+bool is_adversary_outcome(const std::string& what) {
+  for (const char* named :
+       {"round budget of", "upcast stalled", "downcast did not deliver",
+        "BFS tree did not reach", "leader flood did not converge"})
+    if (what.find(named) != std::string::npos) return true;
+  return false;
+}
+
+TEST(CorruptionFuzz, EveryErrorIsANamedAdversaryOutcome) {
+  Rng topo(41);
+  const std::vector<Graph> graphs = {
+      graph::barabasi_albert(24, 2, topo), graph::barabasi_albert(40, 2, topo),
+      graph::grid_graph(4, 6), graph::connected_gnp(20, 0.2, topo)};
+  using Run = std::function<void(Network&, const Graph&, std::uint64_t)>;
+  const std::vector<std::pair<std::string, Run>> algorithms = {
+      {"mvc", [](Network& net, const Graph&, std::uint64_t) {
+         core::solve_g2_mvc_congest(net, {0.25});
+       }},
+      {"mvc-rand", [](Network& net, const Graph&, std::uint64_t seed) {
+         Rng rng(seed);
+         core::solve_g2_mvc_congest_randomized(net, rng, {0.25});
+       }},
+      {"mvc53", [](Network& net, const Graph&, std::uint64_t) {
+         core::MvcCongestConfig config;
+         config.epsilon = 0.25;
+         config.leader_solver = core::LeaderSolver::kFiveThirds;
+         core::solve_g2_mvc_congest(net, config);
+       }},
+      {"mwvc", [](Network& net, const Graph& g, std::uint64_t seed) {
+         Rng rng(seed);
+         graph::VertexWeights w(g.num_vertices());
+         for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
+           w.set(v, static_cast<graph::Weight>(1 + rng.next_below(1000)));
+         core::solve_g2_mwvc_congest(net, w);
+       }},
+      {"mwvc-unit", [](Network& net, const Graph& g, std::uint64_t) {
+         core::solve_g2_mwvc_congest(net,
+                                     graph::VertexWeights(g.num_vertices(), 1));
+       }},
+      {"mds", [](Network& net, const Graph&, std::uint64_t seed) {
+         Rng rng(seed);
+         core::solve_g2_mds_congest(net, rng);
+       }},
+      {"matching", [](Network& net, const Graph&, std::uint64_t) {
+         core::solve_maximal_matching_congest(net);
+       }},
+      {"primitives", [](Network& net, const Graph& g, std::uint64_t) {
+         net.reset();
+         const BfsTree tree = build_bfs_tree(net, elect_min_id_leader(net));
+         const auto n = static_cast<std::uint64_t>(g.num_vertices());
+         std::vector<std::vector<std::uint64_t>> tokens(n);
+         for (std::uint64_t v = 0; v < n; ++v) tokens[v] = {v * n, v};
+         const auto collected = upcast_tokens(net, tree, tokens, n * n);
+         downcast_tokens(net, tree, collected, n * n);
+       }},
+  };
+  // Odd seeds run the serial engine, even ones two round workers, so the
+  // parallel delivery sweep's discards are exercised too.
+  int runs = 0, failures = 0;
+  for (const Graph& g : graphs) {
+    Network net(g);
+    for (const double rate : {0.01, 0.1, 1.0})
+      for (const std::uint64_t seed : {1, 2, 3})
+        for (const auto& [name, run] : algorithms) {
+          FaultModel model;
+          model.corrupt_rate = rate;
+          model.seed = seed;
+          net.set_fault_model(model);
+          net.set_threads(static_cast<int>(2 - seed % 2));
+          ++runs;
+          try {
+            run(net, g, seed);
+          } catch (const std::exception& e) {
+            ++failures;
+            EXPECT_TRUE(is_adversary_outcome(e.what()))
+                << name << " rate " << rate << " seed " << seed << ": "
+                << e.what();
+          }
+        }
+  }
+  // The fuzz must bite, yet not every run may end in an adversary outcome.
+  EXPECT_GT(failures, 0);
+  EXPECT_LT(failures, runs);
+}
+
+// Unit weights make the edge-token range the larger part of mwvc's kToken
+// domain, so a bit flip in a weight token can stay inside the domain yet
+// name a vertex id >= n.  Each of these runs delivers such a token to the
+// leader, which must drop it rather than index its tables with it.
+TEST(CorruptionFuzz, InDomainWeightTokensNamingNoVertexAreDropped) {
+  Rng topo(41);
+  const Graph ba = graph::barabasi_albert(24, 2, topo);
+  const Graph grid = graph::grid_graph(4, 6);
+  for (const auto& [g, seed] : {std::pair{&ba, std::uint64_t{71}},
+                                {&grid, std::uint64_t{72}},
+                                {&grid, std::uint64_t{114}}}) {
+    Network net(*g);
+    FaultModel model;
+    model.corrupt_rate = 0.01;
+    model.seed = seed;
+    net.set_fault_model(model);
+    net.set_threads(static_cast<int>(2 - seed % 2));
+    try {
+      core::solve_g2_mwvc_congest(net,
+                                  graph::VertexWeights(g->num_vertices(), 1));
+    } catch (const std::exception& e) {
+      EXPECT_TRUE(is_adversary_outcome(e.what())) << "seed " << seed << ": "
+                                                  << e.what();
+    }
+  }
 }
 
 // ----------------------------------------------------------- sweep layer ---
@@ -353,6 +570,39 @@ TEST(SweepFaults, AdversarialRowsDeterministicAcrossThreadsAndShards) {
   }
   EXPECT_EQ(scenario::merge_csv(shards), whole);
   EXPECT_EQ(scenario::merge_csv({shards[1], shards[0]}), whole);
+}
+
+TEST(SweepFaults, CorruptedPayloadsNeverReachRangeChecks) {
+  // Regression: a flipped bit in the leader election's kMinId payload used
+  // to flood an out-of-range id into build_bfs_tree, failing cells with
+  // "vertex id out of range" instead of a named adversary outcome.
+  //   sweep --scenarios grid,ba --algorithms mvc,matching,mds --sizes 24
+  //         --seeds 1,2,3 --fault-plan drop=0.02,corrupt=0.01
+  SweepSpec found;
+  found.scenarios = {"grid", "ba"};
+  found.algorithms = {"mvc", "matching", "mds"};
+  found.sizes = {24};
+  found.seeds = {1, 2, 3};
+  found.exact_baseline_max_n = 0;
+  // The same failure hit chung-lu mvc53 and mwvc at n = 40 under
+  // corruption alone.
+  SweepSpec golden;
+  golden.scenarios = {"ba", "chung-lu"};
+  golden.algorithms = {"mds", "matching", "mvc", "mvc53", "mvc-rand", "mwvc"};
+  golden.sizes = {40};
+  golden.epsilons = {0.5};
+  golden.weightings = {"zipf"};
+  golden.exact_baseline_max_n = 0;
+  const std::vector<std::pair<SweepSpec, std::string>> cases = {
+      {found, "drop=0.02,corrupt=0.01"}, {golden, "corrupt=0.01"}};
+  for (const auto& [spec, text] : cases) {
+    const FaultPlan plan = FaultPlan::parse(text);
+    ExecOptions opts;
+    opts.fault_plan = &plan;
+    for (const CellResult& row : sweep_rows(spec, opts))
+      EXPECT_EQ(row.error.find("out of range"), std::string::npos)
+          << text << " cell " << row.cell_index << ": " << row.error;
+  }
 }
 
 TEST(SweepFaults, ZeroRatePlanIsByteIdenticalToNoPlan) {

@@ -538,7 +538,7 @@ TEST(Primitives, UpcastCollectsEverything) {
       tokens[v].push_back(10 * v + i);
       expected.push_back(10 * v + i);
     }
-  auto collected = upcast_tokens(net, tree, tokens);
+  auto collected = upcast_tokens(net, tree, tokens, 55);
   std::sort(collected.begin(), collected.end());
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(collected, expected);
@@ -555,7 +555,7 @@ TEST(Primitives, UpcastRoundsArePipelined) {
   std::vector<std::vector<std::uint64_t>> tokens(length);
   for (int i = 0; i < count; ++i)
     tokens[length - 1].push_back(static_cast<std::uint64_t>(i));
-  upcast_tokens(net, tree, tokens);
+  upcast_tokens(net, tree, tokens, count - 1);
   const auto used = net.stats().rounds - before;
   EXPECT_LE(used, length + count + 2);
   EXPECT_GE(used, length - 1);
@@ -567,7 +567,7 @@ TEST(Primitives, DowncastDeliversToAll) {
   Network net(g);
   const BfsTree tree = build_bfs_tree(net, 0);
   const std::vector<std::uint64_t> tokens = {5, 9, 14};
-  const auto received = downcast_tokens(net, tree, tokens);
+  const auto received = downcast_tokens(net, tree, tokens, 14);
   for (std::size_t v = 0; v < 18; ++v) {
     auto sorted = received[v];
     std::sort(sorted.begin(), sorted.end());
@@ -581,7 +581,10 @@ TEST(Primitives, UpcastRejectsWideTokens) {
   const BfsTree tree = build_bfs_tree(net, 0);
   std::vector<std::vector<std::uint64_t>> tokens(4);
   tokens[3].push_back(std::uint64_t{1} << 40);
-  EXPECT_THROW(upcast_tokens(net, tree, tokens), PreconditionViolation);
+  // A bound the bandwidth cannot carry, and a token above the bound.
+  EXPECT_THROW(upcast_tokens(net, tree, tokens, std::uint64_t{1} << 40),
+               PreconditionViolation);
+  EXPECT_THROW(upcast_tokens(net, tree, tokens, 255), PreconditionViolation);
 }
 
 }  // namespace

@@ -93,9 +93,11 @@ TEST(Integration, PrimitivesComposeAcrossPhases) {
   std::vector<std::vector<std::uint64_t>> tokens(net.n());
   for (std::size_t v = 0; v < net.n(); ++v)
     tokens[v].push_back(static_cast<std::uint64_t>(v) + 100);
-  const auto collected = congest::upcast_tokens(net, tree, tokens);
+  const auto collected =
+      congest::upcast_tokens(net, tree, tokens, net.n() + 99);
   EXPECT_EQ(collected.size(), net.n());
-  const auto echoed = congest::downcast_tokens(net, tree, collected);
+  const auto echoed =
+      congest::downcast_tokens(net, tree, collected, net.n() + 99);
   for (std::size_t v = 0; v < net.n(); ++v)
     EXPECT_EQ(echoed[v].size(), net.n());
 }

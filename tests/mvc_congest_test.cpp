@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
+#include <set>
 
 #include "core/mvc_congest.hpp"
 #include "core/mwvc_congest.hpp"
@@ -263,6 +265,23 @@ TEST(MwvcCongest, WeightCapSaturatesInsteadOfOverflowing) {
   EXPECT_EQ(saturating_pow(16, 4), Weight{65'536});
   EXPECT_EQ(saturating_pow(0, 4), 0);
   EXPECT_EQ(saturating_pow(7, 0), 1);
+}
+
+// Lemma 3's leader-side H = G^2[U].  Corrupted tokens can still decode
+// to an F-edge {u, u} or a U-neighbor the leader never listed; both are
+// left out of H instead of reaching the graph builder's contract checks.
+TEST(RemainderSquare, SkipsSelfLoopsAndUnlistedNeighbors) {
+  const std::vector<VertexId> u_list = {1, 3, 4};
+  const std::set<std::pair<VertexId, VertexId>> f_edges = {
+      {1, 1}, {1, 3}, {2, 4}};
+  std::map<VertexId, std::vector<VertexId>> u_neighbors = {
+      {0, {4, 3, 4, 0}}, {2, {2, 4}}};
+  const Graph h = remainder_square(5, u_list, f_edges, u_neighbors);
+  ASSERT_EQ(h.num_vertices(), 3);
+  EXPECT_EQ(h.num_edges(), 2u);  // {1, 3} direct, {3, 4} through vertex 0
+  EXPECT_TRUE(h.has_edge(0, 1));
+  EXPECT_TRUE(h.has_edge(1, 2));
+  EXPECT_EQ(u_neighbors.at(0), (std::vector<VertexId>{3, 4}));
 }
 
 // ------------------------------------------------------------- Lemma 6 ----

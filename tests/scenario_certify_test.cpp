@@ -28,28 +28,12 @@
 #include "scenario/report.hpp"
 #include "scenario/runner.hpp"
 #include "util/check.hpp"
+#include "temp_dir.hpp"
 
 namespace pg::scenario {
 namespace {
 
-class TempDir {
- public:
-  TempDir() {
-    static int counter = 0;
-    path_ = std::filesystem::temp_directory_path() /
-            ("pg_certify_" + std::to_string(counter++) + "_" +
-             std::to_string(static_cast<long>(::getpid())));
-    std::filesystem::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  std::string str() const { return path_.string(); }
-
- private:
-  std::filesystem::path path_;
-};
+using test_support::TempDir;
 
 struct CliRun {
   int exit_code = 0;
@@ -82,7 +66,11 @@ SweepSpec pinned_spec() {
   return spec;
 }
 
-const char* kPinnedPlan = "corrupt=0.02,net-seed=9";
+// A corruption plan that leaves some mvc rows complete but infeasible.
+// Corruptions that leave a kind's declared domain are discarded, which
+// stalls the leader's upcast (a failed row); only in-range corruptions
+// stay silent, so the rate is low enough for some runs to finish.
+const char* kPinnedPlan = "corrupt=0.003,net-seed=11";
 
 struct SweepRun {
   std::string csv;

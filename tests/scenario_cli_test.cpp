@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
@@ -15,9 +14,12 @@
 
 #include "scenario/cli.hpp"
 #include "scenario/spawn.hpp"
+#include "temp_dir.hpp"
 
 namespace pg::scenario {
 namespace {
+
+using test_support::TempDir;
 
 struct CliRun {
   int exit_code = 0;
@@ -220,9 +222,9 @@ TEST(Cli, ShardedSweepsMergeToTheSingleProcessBytes) {
     args.insert(args.end(), extra.begin(), extra.end());
     return args;
   };
-  const std::string dir = ::testing::TempDir();
-  const std::string s1 = dir + "pg_cli_shard1.csv";
-  const std::string s2 = dir + "pg_cli_shard2.csv";
+  const TempDir dir;
+  const std::string s1 = dir.file("shard1.csv");
+  const std::string s2 = dir.file("shard2.csv");
 
   const CliRun single = cli(with({"--csv", "-"}));
   EXPECT_EQ(single.exit_code, 0) << single.err;
@@ -238,8 +240,6 @@ TEST(Cli, ShardedSweepsMergeToTheSingleProcessBytes) {
   EXPECT_EQ(partial.exit_code, 2);
   EXPECT_NE(partial.err.find("missing shard"), std::string::npos)
       << partial.err;
-  std::remove(s1.c_str());
-  std::remove(s2.c_str());
 }
 
 TEST(Cli, SweepRejectsZeroCellGrids) {
@@ -410,26 +410,6 @@ TEST(Cli, SweepJsonToStdout) {
 }
 
 // ------------------------------------------------- real-graph ingestion ---
-
-class TempDir {
- public:
-  TempDir() {
-    static int counter = 0;
-    path_ = std::filesystem::temp_directory_path() /
-            ("pg_cli_ingest_" + std::to_string(counter++));
-    std::filesystem::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  std::string file(const std::string& name) const {
-    return (path_ / name).string();
-  }
-
- private:
-  std::filesystem::path path_;
-};
 
 // A 6-cycle with one chord, sparse ids: enough structure for every
 // algorithm while keeping the pipeline tests instant.

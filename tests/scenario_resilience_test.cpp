@@ -27,30 +27,14 @@
 #include "scenario/journal.hpp"
 #include "scenario/report.hpp"
 #include "scenario/runner.hpp"
+#include "temp_dir.hpp"
 
 namespace pg::scenario {
 namespace {
 
 // ------------------------------------------------------------- helpers ---
 
-class TempDir {
- public:
-  TempDir() {
-    static int counter = 0;
-    path_ = std::filesystem::temp_directory_path() /
-            ("pg_resilience_" + std::to_string(counter++) + "_" +
-             std::to_string(static_cast<long>(::getpid())));
-    std::filesystem::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  std::string str() const { return path_.string(); }
-
- private:
-  std::filesystem::path path_;
-};
+using test_support::TempDir;
 
 /// 8 topology groups x 2 cells: enough structure for resume/shard tests
 /// while staying fast.

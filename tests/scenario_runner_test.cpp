@@ -189,9 +189,10 @@ TEST(SweepDeterminism, GoldenCsvForCentralizedCells) {
 //     --algorithms mds,matching,mvc,mvc53,mvc-rand,mwvc --sizes 40
 //     --powers 2 --epsilons 0.5 --weights zipf --seeds 1 --csv -
 // (append --fault-plan drop=0.01,corrupt=0.01 for the faulty variant).
-// The faulty variant's failed rows were captured bare and re-pinned once
-// failed rows kept their topology columns; every other value is as
-// captured.
+// The faulty variant is pinned in full, error column included: check
+// messages name their file relative to the checkout root.  It was last
+// re-pinned when corrupted messages outside their kind's declared domain
+// began to be discarded at delivery instead of clamped by receivers.
 std::string congest_golden_csv(int congest_threads, const FaultPlan* plan) {
   SweepSpec spec;
   spec.scenarios = {"ba", "chung-lu"};
@@ -210,18 +211,6 @@ std::string congest_golden_csv(int congest_threads, const FaultPlan* plan) {
   run_sweep_stream(spec, [&](const CellResult& row) { writer.row(row); },
                    opts);
   return out.str();
-}
-
-// Drops each line's last (error) column: failed rows' messages embed the
-// source path of the check that fired.
-std::string without_error_column(const std::string& csv) {
-  std::istringstream in(csv);
-  std::string out;
-  for (std::string line; std::getline(in, line);) {
-    out += line.substr(0, line.rfind(','));
-    out += '\n';
-  }
-  return out;
 }
 
 TEST(SweepDeterminism, GoldenCsvForCongestCells) {
@@ -258,42 +247,64 @@ TEST(SweepDeterminism, GoldenCsvForCongestCells) {
   EXPECT_EQ(congest_golden_csv(1, nullptr), expected);
   EXPECT_EQ(congest_golden_csv(3, nullptr), expected);
 
-  // Under drops and corruption most cells fail their own checks; the
-  // failed rows still carry the topology columns computed before the
-  // throw, and every fault counter is pinned.
+  // Under drops and corruption most cells end in a named adversary
+  // outcome; the failed rows still carry the topology columns computed
+  // before the throw, and every fault counter and error is pinned.
   const FaultPlan plan = FaultPlan::parse("drop=0.01,corrupt=0.01");
   const std::string faulty =
       "cell_index,scenario,algorithm,n,r,epsilon,weighting,seed,status,"
       "base_edges,comm_power,comm_edges,target_edges,solution_size,"
       "solution_weight,feasible,exact,rounds,messages,total_bits,baseline,"
       "baseline_size,ratio,weight_baseline,baseline_weight,ratio_weight,"
-      "msgs_dropped,msgs_corrupted,nodes_crashed,rounds_survived\n"
-      "0,ba,mds,40,2,-,-,1,ok,77,1,77,343,7,7,1,0,10521,360871,13245202,"
-      "greedy,3,2.3333,greedy,3,2.3333,3652,3651,0,10521\n"
-      "1,ba,matching,40,2,-,-,1,failed,77,2,343,343,0,0,0,0,0,0,0,none,0,-,"
-      "none,0,-,0,0,0,0\n"
-      "2,ba,mvc,40,2,0.5,-,1,failed,77,1,77,343,0,0,0,0,0,0,0,none,0,-,"
-      "none,0,-,0,0,0,0\n"
-      "3,ba,mvc53,40,2,-,-,1,ok,77,1,77,343,39,39,1,0,58,4295,43467,greedy,"
-      "34,1.1471,greedy,34,1.1471,54,49,0,58\n"
-      "4,ba,mvc-rand,40,2,0.5,-,1,failed,77,1,77,343,0,0,0,0,0,0,0,none,0,"
-      "-,none,0,-,0,0,0,0\n"
-      "5,ba,mwvc,40,2,0.5,zipf,1,failed,77,1,77,343,0,0,0,0,0,0,0,none,0,-,"
-      "none,0,-,0,0,0,0\n"
-      "6,chung-lu,mds,40,2,-,-,1,ok,73,1,73,296,7,7,1,0,5845,213482,"
-      "7764291,greedy,4,1.7500,greedy,4,1.7500,2134,2092,0,5845\n"
+      "msgs_dropped,msgs_corrupted,nodes_crashed,rounds_survived,error\n"
+      "0,ba,mds,40,2,-,-,1,ok,77,1,77,343,7,7,1,0,10521,360885,13230035,"
+      "greedy,3,2.3333,greedy,3,2.3333,3652,3651,0,10521,\n"
+      "1,ba,matching,40,2,-,-,1,failed,77,2,343,343,0,0,0,0,0,0,0,none,0,"
+      "-,none,0,-,0,0,0,0,PG_REQUIRE failed: (round_limit_ < 0 || "
+      "stats_.rounds < round_limit_) at src/congest/network.cpp:171 — "
+      "CONGEST: round budget of 18944 rounds exhausted — algorithm "
+      "diverged (an adversary starving a quiescence loop is the usual "
+      "cause)\n"
+      "2,ba,mvc,40,2,0.5,-,1,ok,77,1,77,343,38,38,1,0,47,3277,33746,"
+      "greedy,34,1.1176,greedy,34,1.1176,36,31,0,47,\n"
+      "3,ba,mvc53,40,2,-,-,1,ok,77,1,77,343,39,39,1,0,58,4295,43433,"
+      "greedy,34,1.1471,greedy,34,1.1471,54,49,0,58,\n"
+      "4,ba,mvc-rand,40,2,0.5,-,1,failed,77,1,77,343,0,0,0,0,0,0,0,none,"
+      "0,-,none,0,-,0,0,0,0,PG_CHECK failed: (pending == 0 || "
+      "net.last_round_sent_messages()) at src/congest/primitives.cpp:180 "
+      "— upcast stalled: tokens lost in transit (dropped message or "
+      "crashed relay?)\n"
+      "5,ba,mwvc,40,2,0.5,zipf,1,failed,77,1,77,343,0,0,0,0,0,0,0,none,0,"
+      "-,none,0,-,0,0,0,0,PG_CHECK failed: (received[v].size() == "
+      "tokens.size()) at src/congest/primitives.cpp:225 — downcast did "
+      "not deliver all tokens\n"
+      "6,chung-lu,mds,40,2,-,-,1,ok,73,1,73,296,8,8,1,0,3674,143890,"
+      "5178055,greedy,4,2.0000,greedy,4,2.0000,1437,1404,0,3674,\n"
       "7,chung-lu,matching,40,2,-,-,1,failed,73,2,296,296,0,0,0,0,0,0,0,"
-      "none,0,-,none,0,-,0,0,0,0\n"
-      "8,chung-lu,mvc,40,2,0.5,-,1,failed,73,1,73,296,0,0,0,0,0,0,0,none,0,"
-      "-,none,0,-,0,0,0,0\n"
-      "9,chung-lu,mvc53,40,2,-,-,1,failed,73,1,73,296,0,0,0,0,0,0,0,none,0,"
-      "-,none,0,-,0,0,0,0\n"
-      "10,chung-lu,mvc-rand,40,2,0.5,-,1,failed,73,1,73,296,0,0,0,0,0,0,0,"
-      "none,0,-,none,0,-,0,0,0,0\n"
+      "none,0,-,none,0,-,0,0,0,0,PG_REQUIRE failed: (round_limit_ < 0 || "
+      "stats_.rounds < round_limit_) at src/congest/network.cpp:171 — "
+      "CONGEST: round budget of 18944 rounds exhausted — algorithm "
+      "diverged (an adversary starving a quiescence loop is the usual "
+      "cause)\n"
+      "8,chung-lu,mvc,40,2,0.5,-,1,failed,73,1,73,296,0,0,0,0,0,0,0,none,"
+      "0,-,none,0,-,0,0,0,0,PG_CHECK failed: (tree.depth[v] >= 0) at "
+      "src/congest/primitives.cpp:118 — BFS tree did not reach every "
+      "node\n"
+      "9,chung-lu,mvc53,40,2,-,-,1,failed,73,1,73,296,0,0,0,0,0,0,0,none,"
+      "0,-,none,0,-,0,0,0,0,PG_CHECK failed: (tree.depth[v] >= 0) at "
+      "src/congest/primitives.cpp:118 — BFS tree did not reach every "
+      "node\n"
+      "10,chung-lu,mvc-rand,40,2,0.5,-,1,failed,73,1,73,296,0,0,0,0,0,0,"
+      "0,none,0,-,none,0,-,0,0,0,0,PG_CHECK failed: (tree.depth[v] >= 0) "
+      "at src/congest/primitives.cpp:118 — BFS tree did not reach every "
+      "node\n"
       "11,chung-lu,mwvc,40,2,0.5,zipf,1,failed,73,1,73,296,0,0,0,0,0,0,0,"
-      "none,0,-,none,0,-,0,0,0,0\n";
-  EXPECT_EQ(without_error_column(congest_golden_csv(1, &plan)), faulty);
-  EXPECT_EQ(without_error_column(congest_golden_csv(3, &plan)), faulty);
+      "none,0,-,none,0,-,0,0,0,0,PG_CHECK failed: (pending == 0 || "
+      "net.last_round_sent_messages()) at src/congest/primitives.cpp:180 "
+      "— upcast stalled: tokens lost in transit (dropped message or "
+      "crashed relay?)\n";
+  EXPECT_EQ(congest_golden_csv(1, &plan), faulty);
+  EXPECT_EQ(congest_golden_csv(3, &plan), faulty);
 }
 
 // A numpunct that mimics comma-decimal locales (de_DE and friends)

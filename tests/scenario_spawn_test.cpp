@@ -23,31 +23,12 @@
 #include "scenario/runner.hpp"
 #include "scenario/spawn.hpp"
 #include "util/check.hpp"
+#include "temp_dir.hpp"
 
 namespace pg::scenario {
 namespace {
 
-class TempDir {
- public:
-  TempDir() {
-    static int counter = 0;
-    path_ = std::filesystem::temp_directory_path() /
-            ("pg_spawn_" + std::to_string(counter++) + "_" +
-             std::to_string(static_cast<long>(::getpid())));
-    std::filesystem::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  std::string str() const { return path_.string(); }
-  std::string file(const std::string& name) const {
-    return (path_ / name).string();
-  }
-
- private:
-  std::filesystem::path path_;
-};
+using test_support::TempDir;
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -13,10 +13,6 @@
 #include <string>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
-
 #include "graph/classify.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -26,6 +22,7 @@
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 #include "util/rng.hpp"
+#include "temp_dir.hpp"
 
 namespace pg::graph {
 namespace {
@@ -35,26 +32,7 @@ using pg::scenario::CellStatus;
 using pg::scenario::SweepResult;
 using pg::scenario::SweepSpec;
 
-class TempDir {
- public:
-  TempDir() {
-    static int counter = 0;
-    path_ = std::filesystem::temp_directory_path() /
-            ("pg_storage_" + std::to_string(counter++) + "_" +
-             std::to_string(static_cast<long>(::getpid())));
-    std::filesystem::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  std::string file(const std::string& name) const {
-    return (path_ / name).string();
-  }
-
- private:
-  std::filesystem::path path_;
-};
+using test_support::TempDir;
 
 void expect_same_topology(GraphView a, GraphView b) {
   ASSERT_EQ(a.num_vertices(), b.num_vertices());

@@ -1,10 +1,12 @@
 // Unit tests for the utility substrate: RNG determinism and distributions,
-// bitsets, check macros, and the table printer.
+// bitsets, check macros (and their source-relative paths), and the table
+// printer.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
 
+#include "graph/graph.hpp"
 #include "util/bitset.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -117,6 +119,29 @@ TEST(Check, MacrosThrowTheRightTypes) {
               std::string::npos);
     EXPECT_NE(std::string(error.what()).find("1 == 2"), std::string::npos);
   }
+}
+
+TEST(Check, MessagesNameSourceRelativePaths) {
+  // Library checks (compiled into pg) and checks in this test both name
+  // their file relative to the checkout root, never by absolute path, so
+  // failed rows in reports do not depend on where the repository lives.
+  const auto message = [](const auto& fire) {
+    try {
+      fire();
+    } catch (const std::exception& error) {
+      return std::string(error.what());
+    }
+    return std::string("no exception");
+  };
+  const std::string library =
+      message([] { graph::GraphBuilder(2).add_edge(0, 5); });
+  const std::string local = message([] { PG_CHECK(false, "here"); });
+  EXPECT_NE(library.find(" at src/graph/graph.cpp:"), std::string::npos)
+      << library;
+  EXPECT_NE(local.find(" at tests/util_test.cpp:"), std::string::npos)
+      << local;
+  for (const std::string& what : {library, local})
+    EXPECT_EQ(what.find(" at /"), std::string::npos) << what;
 }
 
 TEST(Table, AlignsColumns) {
