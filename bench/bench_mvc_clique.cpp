@@ -27,9 +27,9 @@ void scaling_table() {
                "log2 n", "rand rounds/log2 n"});
   Rng rng(4040);
   Rng alg_rng(41);
-  core::MvcCliqueConfig config;
+  core::MvcCongestConfig config;
   config.epsilon = 0.25;
-  config.leader_exact = false;
+  config.leader_solver = core::LeaderSolver::kFiveThirds;
   for (VertexId n : {64, 128, 256, 512}) {
     const Graph g = graph::connected_gnp(n, 8.0 / n, rng);
     const auto det = core::solve_g2_mvc_clique_deterministic(g, config);
@@ -38,9 +38,9 @@ void scaling_table() {
     PG_CHECK(graph::is_vertex_cover_of_square(g, rnd.cover), "invalid cover");
     const double logn = std::log2(static_cast<double>(n));
     table.add_row({std::to_string(n), std::to_string(det.stats.rounds),
-                   std::to_string(det.phases),
+                   std::to_string(det.iterations),
                    std::to_string(rnd.stats.rounds),
-                   std::to_string(rnd.phases), fmt(logn, 1),
+                   std::to_string(rnd.iterations), fmt(logn, 1),
                    fmt(static_cast<double>(rnd.stats.rounds) / logn, 2)});
   }
   table.print();
@@ -55,7 +55,7 @@ void ratio_table() {
     const Graph g = graph::connected_gnp(n, 0.2, rng);
     const graph::Weight opt = solvers::solve_mvc(graph::square(g)).value;
     for (double eps : {0.5, 0.25}) {
-      core::MvcCliqueConfig config;
+      core::MvcCongestConfig config;
       config.epsilon = eps;
       const auto det = core::solve_g2_mvc_clique_deterministic(g, config);
       const auto rnd =
@@ -81,9 +81,9 @@ void sqrt_n_table() {
   Rng rng(4042);
   for (VertexId n : {64, 144, 256, 400}) {
     const Graph g = graph::connected_gnp(n, 8.0 / n, rng);
-    core::MvcCliqueConfig config;
+    core::MvcCongestConfig config;
     config.epsilon = 1.0 / std::sqrt(static_cast<double>(n));
-    config.leader_exact = false;
+    config.leader_solver = core::LeaderSolver::kFiveThirds;
     const auto result = core::solve_g2_mvc_clique_deterministic(g, config);
     PG_CHECK(graph::is_vertex_cover_of_square(g, result.cover),
              "invalid cover");
@@ -92,7 +92,7 @@ void sqrt_n_table() {
                    fmt(static_cast<double>(result.stats.rounds) /
                            std::sqrt(static_cast<double>(n)),
                        2),
-                   std::to_string(result.phases)});
+                   std::to_string(result.iterations)});
   }
   table.print();
 }

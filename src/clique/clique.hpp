@@ -1,32 +1,26 @@
 // Synchronous simulator for the CONGESTED CLIQUE model [LPPP03]: in every
 // round, each node may send a distinct O(log n)-bit message to *every*
-// other node (not only its neighbors in the input graph G).  The input
-// graph is carried alongside as data: algorithms read their incident edges
-// of G locally, as in the model.
+// other node.  Only the all-to-all links live here; an algorithm's rounds
+// along the input graph's edges run on the CONGEST engine (congest/), which
+// models them exactly.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
-#include "congest/message.hpp"
-#include "graph/graph.hpp"
+#include "congest/network.hpp"
 
 namespace pg::clique {
 
-using NodeId = graph::VertexId;
 using congest::Message;
+using congest::NodeId;
 
 struct Incoming {
   NodeId from = -1;
   Message msg;
-};
-
-struct RoundStats {
-  std::int64_t rounds = 0;
-  std::int64_t messages = 0;
-  std::int64_t total_bits = 0;
 };
 
 class CliqueNetwork;
@@ -34,17 +28,10 @@ class CliqueNetwork;
 class NodeView {
  public:
   NodeId id() const { return id_; }
-  std::size_t n() const;
-  /// Neighbors in the *input graph* G (local knowledge, not a message).
-  std::span<const NodeId> graph_neighbors() const;
   std::span<const Incoming> inbox() const;
 
   /// Sends to any other node (the communication graph is complete).
   void send(NodeId to, const Message& m);
-  /// Sends the same message to all neighbors in the input graph G.
-  void send_to_graph_neighbors(const Message& m);
-  /// Sends the same message to every other node.
-  void send_to_all(const Message& m);
 
  private:
   friend class CliqueNetwork;
@@ -55,31 +42,26 @@ class NodeView {
 
 class CliqueNetwork {
  public:
-  /// The input graph is copied: the network owns it, so callers may pass
-  /// temporaries or file-backed views safely.
-  explicit CliqueNetwork(graph::GraphView input_graph);
+  explicit CliqueNetwork(std::size_t n);
 
-  const graph::Graph& input_graph() const { return graph_; }
-  std::size_t n() const { return static_cast<std::size_t>(graph_.num_vertices()); }
-  int bandwidth() const { return bandwidth_; }
-  const RoundStats& stats() const { return stats_; }
+  std::size_t n() const { return inbox_.size(); }
+  const congest::RoundStats& stats() const { return stats_; }
 
   void round(const std::function<void(NodeView&)>& step);
-  bool last_round_sent_messages() const { return last_round_messages_ > 0; }
 
  private:
   friend class NodeView;
   void do_send(NodeId from, NodeId to, const Message& m);
 
-  graph::Graph graph_;
   int bandwidth_;
-  RoundStats stats_;
-  std::int64_t last_round_messages_ = 0;
-
+  congest::RoundStats stats_;
   std::vector<std::vector<Incoming>> inbox_;
-  std::vector<std::vector<Incoming>> outbox_;
-  // last round in which (from, to) carried a message, addressed from*n+to.
-  std::vector<std::int64_t> pair_last_sent_;
+  std::vector<std::vector<Incoming>> next_inbox_;
+  // (round, sender) of the last message to each destination.  `round`
+  // steps the nodes one after another, so a sender's sends of one round
+  // are contiguous and a repeated (sender, destination) pair always finds
+  // its own stamp.
+  std::vector<std::pair<std::int64_t, NodeId>> last_to_;
 };
 
 }  // namespace pg::clique

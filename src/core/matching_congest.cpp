@@ -1,7 +1,5 @@
 #include "core/matching_congest.hpp"
 
-#include <algorithm>
-
 namespace pg::core {
 
 using congest::Incoming;
@@ -68,11 +66,9 @@ MatchingCongestResult solve_maximal_matching_congest(Network& net) {
         node.send_slot(i, Message{kPropose, {}});
       }
     });
-    // Derived after the barrier instead of set from inside the step: many
-    // nodes writing one shared bool is a data race even when every write
-    // stores the same value.
-    any_proposal = std::any_of(proposed_to.begin(), proposed_to.end(),
-                               [](NodeId p) { return p != -1; });
+    // Only proposals were sent, so a quiet round means none was made (a
+    // crashed node's stale proposed_to cannot keep the loop alive).
+    any_proposal = net.last_round_sent_messages();
     if (!any_proposal) break;
 
     // Round B: mutual proposals match; newly matched announce it.

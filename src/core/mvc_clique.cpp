@@ -1,372 +1,104 @@
 #include "core/mvc_clique.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <deque>
-#include <map>
-#include <set>
-
-#include "core/mvc_centralized.hpp"
-#include "core/trivial.hpp"
-#include "graph/ops.hpp"
-#include "solvers/exact_vc.hpp"
+#include "clique/clique.hpp"
 
 namespace pg::core {
 
 using clique::CliqueNetwork;
 using clique::Incoming;
 using clique::Message;
-using clique::NodeId;
 using clique::NodeView;
-using graph::Graph;
 using graph::GraphView;
 using graph::VertexId;
 using graph::VertexSet;
 
 namespace {
 
-constexpr std::uint8_t kStatus = 21;     // field 0: 1 iff in R
-constexpr std::uint8_t kCandidate = 22;  // field 0: r_c (randomized) / 0
-constexpr std::uint8_t kMaxCand = 23;    // deterministic symmetry breaking
-constexpr std::uint8_t kTake = 24;       // center takes its neighborhood
-constexpr std::uint8_t kVote = 25;       // field 0: id of chosen candidate
-constexpr std::uint8_t kFEdge = 26;      // field 0: packed F-edge
-constexpr std::uint8_t kInCover = 27;    // field 0: 1 iff recipient in R*
+constexpr std::uint8_t kFEdge = 26;    // field 0: F-edge token >> 1
+constexpr std::uint8_t kInCover = 27;  // field 0: 1 iff recipient in R*
 
-/// Shared Phase II (Lemma 9): node 0 acts as leader (ids are common
-/// knowledge in the clique, so no election is needed).  Every node streams
-/// its incident F-edges to the leader, one per round; the leader
-/// reconstructs H = G^2[U] (Lemma 3), solves it, and answers every node
-/// with a dedicated message in a single final round.
-void learn_and_solve(CliqueNetwork& net, const std::vector<bool>& in_u,
-                     const MvcCliqueConfig& config, MvcCliqueResult& result) {
-  const std::size_t n = net.n();
-
-  std::vector<std::deque<std::uint64_t>> queue(n);
-  net.round([&](NodeView& node) {
-    node.send_to_graph_neighbors(
-        Message{kStatus, {in_u[static_cast<std::size_t>(node.id())] ? 1 : 0}});
-  });
-  net.round([&](NodeView& node) {
-    const auto me = static_cast<std::size_t>(node.id());
-    for (const Incoming& in : node.inbox()) {
-      if (in.msg.kind != kStatus || in.msg.at(0) != 1) continue;
-      const auto a = static_cast<std::uint64_t>(node.id());
-      const auto b = static_cast<std::uint64_t>(in.from);
-      queue[me].push_back(((a * n + b) << 1) | (in_u[me] ? 1u : 0u));
-    }
-  });
-
-  // Leader-side accumulators (only node 0's callback writes them).
-  std::set<std::pair<VertexId, VertexId>> f_edges;
-  std::map<VertexId, std::vector<VertexId>> u_neighbors;
-  auto leader_absorb = [&](std::uint64_t token) {
-    const bool sender_in_u = token & 1u;
-    const std::uint64_t pair = token >> 1;
-    const auto sender = static_cast<VertexId>(pair / n);
-    const auto nbr = static_cast<VertexId>(pair % n);  // nbr is in U
-    const auto key = std::minmax(sender, nbr);
-    f_edges.insert({key.first, key.second});
-    u_neighbors[sender].push_back(nbr);
-    if (sender_in_u) u_neighbors[nbr].push_back(sender);
-  };
-
-  auto any_queued = [&]() {
-    for (const auto& q : queue)
-      if (!q.empty()) return true;
+/// Lemma 9's transport: every node but the leader (node 0) sends it one
+/// token per round, the leader solves once the last one has arrived, then
+/// answers every node with a dedicated message in a single round.  A
+/// token's lowest bit (its U-neighbor is in U) is always set, so the wire
+/// drops it and the leader puts it back.
+void stream_to_leader(CliqueNetwork& clique,
+                      std::vector<std::vector<std::uint64_t>> tokens,
+                      const LeaderSolve& solve, VertexSet& cover) {
+  const std::size_t n = tokens.size();
+  std::vector<std::uint64_t> at_leader;
+  std::vector<std::size_t> sent(n, 0);
+  const auto queued = [&] {
+    for (std::size_t v = 0; v < n; ++v)
+      if (sent[v] < tokens[v].size()) return true;
     return false;
   };
-  while (any_queued()) {
-    net.round([&](NodeView& node) {
-      const auto me = static_cast<std::size_t>(node.id());
-      if (node.id() == 0) {
-        for (const Incoming& in : node.inbox())
-          if (in.msg.kind == kFEdge)
-            leader_absorb(static_cast<std::uint64_t>(in.msg.at(0)));
-        while (!queue[me].empty()) {  // leader's own edges are local info
-          leader_absorb(queue[me].front());
-          queue[me].pop_front();
-        }
-        return;
-      }
-      if (!queue[me].empty()) {
-        node.send(0, Message{kFEdge,
-                             {static_cast<std::int64_t>(queue[me].front())}});
-        queue[me].pop_front();
-      }
-    });
-  }
-  // One more round so the last in-flight tokens reach the leader.
-  net.round([&](NodeView& node) {
-    if (node.id() != 0) return;
-    for (const Incoming& in : node.inbox())
-      if (in.msg.kind == kFEdge)
-        leader_absorb(static_cast<std::uint64_t>(in.msg.at(0)));
-  });
-  result.f_edge_count = f_edges.size();
-
-  // Leader-local: build H = G^2[U] from F and solve it.
-  std::vector<bool> known_in_u(n, false);
-  for (const auto& [w, nbrs] : u_neighbors)
-    for (VertexId u : nbrs) {
-      (void)w;
-      known_in_u[static_cast<std::size_t>(u)] = true;
-    }
-  std::vector<VertexId> u_list;
-  for (std::size_t v = 0; v < n; ++v)
-    if (known_in_u[v]) u_list.push_back(static_cast<VertexId>(v));
-  std::vector<VertexId> to_h(n, -1);
-  for (std::size_t i = 0; i < u_list.size(); ++i)
-    to_h[static_cast<std::size_t>(u_list[i])] = static_cast<VertexId>(i);
-
-  graph::GraphBuilder h_builder(static_cast<VertexId>(u_list.size()));
-  for (const auto& [u, v] : f_edges)
-    if (to_h[static_cast<std::size_t>(u)] != -1 &&
-        to_h[static_cast<std::size_t>(v)] != -1)
-      h_builder.add_edge(to_h[static_cast<std::size_t>(u)],
-                         to_h[static_cast<std::size_t>(v)]);
-  for (auto& [w, nbrs] : u_neighbors) {
-    (void)w;
-    std::sort(nbrs.begin(), nbrs.end());
-    nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
-    for (std::size_t i = 0; i < nbrs.size(); ++i)
-      for (std::size_t j = i + 1; j < nbrs.size(); ++j)
-        h_builder.add_edge(to_h[static_cast<std::size_t>(nbrs[i])],
-                           to_h[static_cast<std::size_t>(nbrs[j])]);
-  }
-  const Graph h = std::move(h_builder).build();
-
-  VertexSet h_cover(h.num_vertices());
-  if (config.leader_exact) {
-    const solvers::ExactResult exact =
-        solvers::solve_mvc(h, config.exact_node_budget);
-    result.leader_solution_optimal = exact.optimal;
-    h_cover = exact.solution;
-  } else {
-    h_cover = five_thirds_cover(h);
-    result.leader_solution_optimal = false;
-  }
-  std::vector<bool> in_rstar(n, false);
-  for (VertexId hv : h_cover.to_vector())
-    in_rstar[static_cast<std::size_t>(u_list[static_cast<std::size_t>(hv)])] =
-        true;
-
-  // Single answer round: the leader tells every node its membership.
-  net.round([&](NodeView& node) {
-    if (node.id() != 0) return;
-    for (NodeId other = 1; other < static_cast<NodeId>(n); ++other)
-      node.send(other, Message{kInCover,
-                               {in_rstar[static_cast<std::size_t>(other)] ? 1
-                                                                          : 0}});
-  });
-  net.round([&](NodeView& node) {
+  const auto step = [&](NodeView& node) {
     const auto me = static_cast<std::size_t>(node.id());
-    if (node.id() == 0) {
-      if (in_rstar[me]) result.cover.insert(node.id());
+    if (me != 0) {
+      if (sent[me] < tokens[me].size())
+        node.send(0, Message{kFEdge, {static_cast<std::int64_t>(
+                                         tokens[me][sent[me]++] >> 1)}});
       return;
     }
     for (const Incoming& in : node.inbox())
-      if (in.msg.kind == kInCover && in.msg.at(0) == 1)
-        result.cover.insert(node.id());
+      at_leader.push_back((static_cast<std::uint64_t>(in.msg.at(0)) << 1) | 1);
+    // The leader's own tokens are local knowledge.
+    at_leader.insert(at_leader.end(), tokens[0].begin() + sent[0],
+                     tokens[0].end());
+    sent[0] = tokens[0].size();
+  };
+  while (queued()) clique.round(step);
+  clique.round(step);  // the last tokens in flight reach the leader
+
+  std::vector<char> in_r_star(n, 0);
+  for (VertexId v : solve(at_leader)) in_r_star[static_cast<std::size_t>(v)] = 1;
+  clique.round([&](NodeView& node) {
+    if (node.id() != 0) return;
+    for (std::size_t other = 1; other < n; ++other)
+      node.send(static_cast<VertexId>(other),
+                Message{kInCover, {in_r_star[other]}});
+  });
+  if (in_r_star[0] != 0) cover.insert(0);
+  clique.round([&](NodeView& node) {
+    for (const Incoming& in : node.inbox())
+      if (in.msg.at(0) == 1) cover.insert(node.id());
   });
 }
 
-/// Deterministic Phase I of Algorithm 1 run inside the clique (messages
-/// only along G edges).  Mutates in_r; selected neighborhoods join
-/// result.cover.  Returns the number of selecting iterations.
-int deterministic_phase1(CliqueNetwork& net, int l, std::vector<bool>& in_r,
-                         MvcCliqueResult& result) {
-  const std::size_t n = net.n();
-  std::vector<bool> in_c(n, true);
-  std::vector<bool> is_candidate(n, false);
-  std::vector<NodeId> max1(n, -1);
-  int iterations = 0;
-
-  bool any_candidate = true;
-  while (any_candidate) {
-    net.round([&](NodeView& node) {
-      const auto me = static_cast<std::size_t>(node.id());
-      for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kTake && in_r[me]) {
-          in_r[me] = false;
-          result.cover.insert(node.id());
-        }
-      node.send_to_graph_neighbors(Message{kStatus, {in_r[me] ? 1 : 0}});
-    });
-    any_candidate = false;
-    net.round([&](NodeView& node) {
-      const auto me = static_cast<std::size_t>(node.id());
-      int count = 0;
-      for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kStatus && in.msg.at(0) == 1) ++count;
-      is_candidate[me] = in_c[me] && count > l;
-      if (is_candidate[me]) {
-        any_candidate = true;
-        node.send_to_graph_neighbors(Message{kCandidate, {0}});
-      }
-    });
-    if (!any_candidate) break;
-    net.round([&](NodeView& node) {
-      const auto me = static_cast<std::size_t>(node.id());
-      NodeId best = is_candidate[me] ? node.id() : -1;
-      for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kCandidate) best = std::max(best, in.from);
-      max1[me] = best;
-      node.send_to_graph_neighbors(Message{kMaxCand, {best}});
-    });
-    net.round([&](NodeView& node) {
-      const auto me = static_cast<std::size_t>(node.id());
-      NodeId best = max1[me];
-      for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kMaxCand)
-          best = std::max(best, static_cast<NodeId>(in.msg.at(0)));
-      if (is_candidate[me] && best == node.id()) {
-        in_c[me] = false;
-        node.send_to_graph_neighbors(Message{kTake, {}});
-      }
-    });
-    ++iterations;
+MvcCongestResult solve_in_clique(GraphView g, Rng* rng,
+                                 const MvcCongestConfig& config) {
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  if (n <= 1) {  // nothing to cover, nothing to send
+    MvcCongestResult result;
+    result.cover = VertexSet(g.num_vertices());
+    return result;
   }
-  return iterations;
+  congest::Network net(g);
+  CliqueNetwork clique(n);
+  MvcCongestResult result = run_algorithm1(
+      net, config, rng,
+      [&](std::vector<std::vector<std::uint64_t>> tokens,
+          const LeaderSolve& solve, VertexSet& cover) {
+        stream_to_leader(clique, std::move(tokens), solve, cover);
+      });
+  result.phase2_rounds += clique.stats().rounds;
+  result.stats.rounds += clique.stats().rounds;
+  result.stats.messages += clique.stats().messages;
+  result.stats.total_bits += clique.stats().total_bits;
+  return result;
 }
 
 }  // namespace
 
-MvcCliqueResult solve_g2_mvc_clique_deterministic(
-    GraphView g, const MvcCliqueConfig& config) {
-  PG_REQUIRE(config.epsilon > 0, "epsilon must be positive");
-  MvcCliqueResult result;
-  result.cover = VertexSet(g.num_vertices());
-  if (g.num_vertices() <= 1) return result;
-  if (config.epsilon >= 1.0) {
-    result.cover = trivial_power_cover(g);
-    return result;
-  }
-  const int l = static_cast<int>(std::ceil(1.0 / config.epsilon));
-
-  CliqueNetwork net(g);
-  std::vector<bool> in_r(net.n(), true);
-  result.phases = deterministic_phase1(net, l, in_r, result);
-  result.phase1_cover_size = result.cover.size();
-  learn_and_solve(net, in_r, config, result);
-  result.stats = net.stats();
-  return result;
+MvcCongestResult solve_g2_mvc_clique_deterministic(
+    GraphView g, const MvcCongestConfig& config) {
+  return solve_in_clique(g, nullptr, config);
 }
 
-MvcCliqueResult solve_g2_mvc_clique_randomized(GraphView g, Rng& rng,
-                                               const MvcCliqueConfig& config) {
-  PG_REQUIRE(config.epsilon > 0, "epsilon must be positive");
-  MvcCliqueResult result;
-  result.cover = VertexSet(g.num_vertices());
-  if (g.num_vertices() <= 1) return result;
-  if (config.epsilon >= 1.0) {
-    result.cover = trivial_power_cover(g);
-    return result;
-  }
-  const std::size_t n = static_cast<std::size_t>(g.num_vertices());
-  // A candidate leaves C once d_R(c) <= 8/ε + 2 (Theorem 11).
-  const int threshold = static_cast<int>(std::ceil(8.0 / config.epsilon)) + 2;
-  const std::uint64_t r_range = static_cast<std::uint64_t>(n) * n * n * n;
-
-  CliqueNetwork net(g);
-  std::vector<bool> in_r(n, true);
-  std::vector<bool> in_c(n, true);
-  std::vector<bool> is_candidate(n, false);
-  std::vector<int> r_deg(n, 0);
-  std::vector<std::int64_t> my_draw(n, 0);
-
-  // W.h.p. O(log n) phases suffice (potential argument); the cap below is a
-  // deterministic safety net that falls back to the ε n-round Phase I.
-  const int phase_cap =
-      200 * (static_cast<int>(std::ceil(std::log2(std::max<double>(n, 2)))) + 1);
-
-  bool any_candidate = true;
-  while (any_candidate && result.phases < phase_cap) {
-    // Round 1: apply takes, announce R status.
-    net.round([&](NodeView& node) {
-      const auto me = static_cast<std::size_t>(node.id());
-      for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kTake && in_r[me]) {
-          in_r[me] = false;
-          result.cover.insert(node.id());
-        }
-      node.send_to_graph_neighbors(Message{kStatus, {in_r[me] ? 1 : 0}});
-    });
-
-    // Round 2: update d_R, drop below-threshold centers, draw r_c.
-    any_candidate = false;
-    net.round([&](NodeView& node) {
-      const auto me = static_cast<std::size_t>(node.id());
-      int count = 0;
-      for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kStatus && in.msg.at(0) == 1) ++count;
-      r_deg[me] = count;
-      if (in_c[me] && count <= threshold) in_c[me] = false;
-      is_candidate[me] = in_c[me];
-      if (is_candidate[me]) {
-        any_candidate = true;
-        my_draw[me] = static_cast<std::int64_t>(rng.next_below(r_range));
-        node.send_to_graph_neighbors(Message{kCandidate, {my_draw[me]}});
-      }
-    });
-    if (!any_candidate) break;
-
-    // Round 3: R-vertices vote for the highest-draw candidate neighbor and
-    // inform all their candidate neighbors of the vote.
-    net.round([&](NodeView& node) {
-      const auto me = static_cast<std::size_t>(node.id());
-      if (!in_r[me]) return;
-      NodeId chosen = -1;
-      std::int64_t chosen_draw = -1;
-      std::vector<NodeId> candidates;
-      for (const Incoming& in : node.inbox()) {
-        if (in.msg.kind != kCandidate) continue;
-        candidates.push_back(in.from);
-        const std::int64_t draw = in.msg.at(0);
-        if (draw > chosen_draw ||
-            (draw == chosen_draw && in.from > chosen)) {
-          chosen_draw = draw;
-          chosen = in.from;
-        }
-      }
-      for (NodeId c : candidates) node.send(c, Message{kVote, {chosen}});
-    });
-
-    // Round 4: candidates count votes; winners take their neighborhoods.
-    net.round([&](NodeView& node) {
-      const auto me = static_cast<std::size_t>(node.id());
-      if (!is_candidate[me]) return;
-      int votes = 0;
-      for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kVote && in.msg.at(0) == node.id()) ++votes;
-      if (8 * votes >= r_deg[me] && votes > 0) {
-        in_c[me] = false;
-        node.send_to_graph_neighbors(Message{kTake, {}});
-      }
-    });
-    ++result.phases;
-  }
-
-  if (any_candidate) {
-    // Safety fallback (never expected): finish deterministically.
-    const int l = static_cast<int>(std::ceil(1.0 / config.epsilon));
-    result.phases += deterministic_phase1(net, l, in_r, result);
-  } else {
-    // Drain the last kTake messages (sent in the final phase's round 4).
-    net.round([&](NodeView& node) {
-      const auto me = static_cast<std::size_t>(node.id());
-      for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kTake && in_r[me]) {
-          in_r[me] = false;
-          result.cover.insert(node.id());
-        }
-    });
-  }
-
-  result.phase1_cover_size = result.cover.size();
-  learn_and_solve(net, in_r, config, result);
-  result.stats = net.stats();
-  return result;
+MvcCongestResult solve_g2_mvc_clique_randomized(
+    GraphView g, Rng& rng, const MvcCongestConfig& config) {
+  return solve_in_clique(g, &rng, config);
 }
 
 }  // namespace pg::core

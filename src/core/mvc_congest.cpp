@@ -119,12 +119,10 @@ void deterministic_phase1(Network& net, int l, std::vector<char>& in_r,
       is_candidate[me] = in_c[me] != 0 && count > l ? 1 : 0;
       if (is_candidate[me] != 0) node.broadcast(Message{kCandidate, {0}});
     });
-    // Derived after the barrier instead of set from inside the step: many
-    // nodes writing one shared bool is a data race even when every write
-    // stores the same value.
-    any_candidate = std::any_of(is_candidate.begin(), is_candidate.end(),
-                                [](char c) { return c != 0; });
-    if (!any_candidate) break;  // quiescence: no centers left anywhere
+    // Only candidates sent, so a quiet round means no center is left
+    // anywhere (a crashed node's stale flag cannot keep the loop alive).
+    any_candidate = net.last_round_sent_messages();
+    if (!any_candidate) break;
 
     // Round 3: spread the max candidate id one hop.
     net.round([&](NodeView& node) {
@@ -205,8 +203,7 @@ void randomized_phase1(Network& net, double epsilon, Rng& rng,
       if (is_candidate[me] != 0)
         node.broadcast(Message{kCandidate, {draw[me]}});
     });
-    any_candidate = std::any_of(is_candidate.begin(), is_candidate.end(),
-                                [](char c) { return c != 0; });
+    any_candidate = net.last_round_sent_messages();  // only candidates sent
     if (!any_candidate) break;
 
     // Round 3: R-vertices vote for the highest-draw candidate neighbor and
@@ -256,34 +253,33 @@ void randomized_phase1(Network& net, double epsilon, Rng& rng,
   }
 }
 
-/// Phase II of Algorithm 1: ship F to an elected leader over a BFS tree
-/// (Lemma 2), rebuild H = G^2[U] (Lemma 3), solve, broadcast R*.
-void run_phase2(Network& net, const std::vector<char>& in_u,
-                const MvcCongestConfig& config, MvcCongestResult& result) {
+/// Phase II's first two rounds: every node announces whether it is in U,
+/// then holds one token per edge to a U-neighbor (it is responsible for
+/// its edges into U, Lemma 2).
+std::vector<std::vector<std::uint64_t>> f_edge_tokens(
+    Network& net, const std::vector<char>& in_u) {
   const std::size_t n = net.n();
-  const auto last = static_cast<VertexId>(n - 1);
   std::vector<std::vector<std::uint64_t>> tokens(n);
   net.round([&](NodeView& node) {
-    const auto me = static_cast<std::size_t>(node.id());
-    node.broadcast(Message{kUStatus, {in_u[me] != 0 ? 1 : 0}});
+    node.broadcast(
+        Message{kUStatus, {in_u[static_cast<std::size_t>(node.id())]}});
   });
   net.round([&](NodeView& node) {
     const auto me = static_cast<std::size_t>(node.id());
-    for (const Incoming& in : node.inbox()) {
-      if (in.msg.kind != kUStatus) continue;
-      const bool nbr_in_u = in.msg.at(0) == 1;
-      if (nbr_in_u)  // v is responsible for its edges into U (Lemma 2)
+    for (const Incoming& in : node.inbox())
+      if (in.msg.kind == kUStatus && in.msg.at(0) == 1)
         tokens[me].push_back(
-            encode_f_edge(n, node.id(), in.from, in_u[me] != 0, nbr_in_u));
-    }
+            encode_f_edge(n, node.id(), in.from, in_u[me] != 0, true));
   });
+  return tokens;
+}
 
-  const NodeId leader = congest::elect_min_id_leader(net);
-  const congest::BfsTree tree = congest::build_bfs_tree(net, leader);
-  const std::vector<std::uint64_t> raw = congest::upcast_tokens(
-      net, tree, std::move(tokens), encode_f_edge(n, last, last, true, true));
-
-  // --- leader-local computation (free in the CONGEST model) --------------
+/// The leader's local step (free in either model): decode F, rebuild
+/// H = G^2[U] (Lemma 3), solve it, and return R* as vertices of G.
+std::vector<VertexId> solve_at_leader(std::size_t n,
+                                      const std::vector<std::uint64_t>& raw,
+                                      const MvcCongestConfig& config,
+                                      MvcCongestResult& result) {
   std::set<std::pair<VertexId, VertexId>> f_edges;
   std::vector<bool> known_in_u(n, false);
   std::map<VertexId, std::vector<VertexId>> u_neighbors;  // w -> N(w) ∩ U
@@ -326,29 +322,47 @@ void run_phase2(Network& net, const std::vector<char>& in_u,
       result.leader_solution_optimal = false;
       break;
   }
-
-  // --- broadcast R* down the tree ----------------------------------------
-  std::vector<std::uint64_t> solution_tokens;
+  std::vector<VertexId> r_star;
   for (VertexId hv : h_cover.to_vector())
-    solution_tokens.push_back(
-        static_cast<std::uint64_t>(u_list[static_cast<std::size_t>(hv)]));
-  const auto received =
-      congest::downcast_tokens(net, tree, solution_tokens, n - 1);
-  for (std::size_t v = 0; v < n; ++v)
-    for (std::uint64_t token : received[v])
-      if (token == v) result.cover.insert(static_cast<VertexId>(v));
+    r_star.push_back(u_list[static_cast<std::size_t>(hv)]);
+  return r_star;
 }
 
-/// Common driver: trivial-cover early-outs, Phase I via `phase1`, Phase II.
-/// Runs on a caller-provided simulator (rewound first), so one Network can
-/// serve many runs.
-template <typename Phase1>
+/// Theorem 1 in CONGEST: Phase II elects a leader and pipelines F up a
+/// BFS tree and R* back down it (Lemma 2).
+MvcCongestResult run_in_congest(Network& net, const MvcCongestConfig& config,
+                                Rng* rng) {
+  PG_REQUIRE(graph::is_connected(net.topology()),
+             "Theorem 1 assumes a connected network");
+  return run_algorithm1(
+      net, config, rng,
+      [&](std::vector<std::vector<std::uint64_t>> tokens,
+          const LeaderSolve& solve, VertexSet& cover) {
+        const std::size_t n = net.n();
+        const auto last = static_cast<VertexId>(n - 1);
+        const NodeId leader = congest::elect_min_id_leader(net);
+        const congest::BfsTree tree = congest::build_bfs_tree(net, leader);
+        const std::vector<std::uint64_t> raw = congest::upcast_tokens(
+            net, tree, std::move(tokens),
+            encode_f_edge(n, last, last, true, true));
+        std::vector<std::uint64_t> r_star;
+        for (VertexId v : solve(raw))
+          r_star.push_back(static_cast<std::uint64_t>(v));
+        const auto received =
+            congest::downcast_tokens(net, tree, r_star, n - 1);
+        for (std::size_t v = 0; v < n; ++v)
+          for (std::uint64_t token : received[v])
+            if (token == v) cover.insert(static_cast<VertexId>(v));
+      });
+}
+
+}  // namespace
+
 MvcCongestResult run_algorithm1(Network& net, const MvcCongestConfig& config,
-                                Phase1&& phase1) {
+                                Rng* rng, const Phase2Transport& transport) {
   net.reset();
   GraphView g = net.topology();
   PG_REQUIRE(config.epsilon > 0, "epsilon must be positive");
-  PG_REQUIRE(graph::is_connected(g), "Theorem 1 assumes a connected network");
   const std::size_t n = static_cast<std::size_t>(g.num_vertices());
 
   MvcCongestResult result;
@@ -372,25 +386,26 @@ MvcCongestResult run_algorithm1(Network& net, const MvcCongestConfig& config,
   net.declare(kUStatus, {{0, 1}});
   net.declare(kVote, {{0, last}});
   std::vector<char> in_r(n, 1);
-  phase1(net, in_r, result);
+  if (rng == nullptr)
+    deterministic_phase1(net, result.epsilon_inverse, in_r, result);
+  else
+    randomized_phase1(net, config.epsilon, *rng, in_r, result);
   result.phase1_rounds = net.stats().rounds;
   result.phase1_cover_size = result.cover.size();
 
-  run_phase2(net, in_r, config, result);  // U = V \ S = R
+  transport(f_edge_tokens(net, in_r),  // U = V \ S = R
+            [&](const std::vector<std::uint64_t>& raw) {
+              return solve_at_leader(n, raw, config, result);
+            },
+            result.cover);
   result.phase2_rounds = net.stats().rounds - result.phase1_rounds;
   result.stats = net.stats();
   return result;
 }
 
-}  // namespace
-
 MvcCongestResult solve_g2_mvc_congest(Network& net,
                                       const MvcCongestConfig& config) {
-  return run_algorithm1(
-      net, config,
-      [&](Network& inner, std::vector<char>& in_r, MvcCongestResult& result) {
-        deterministic_phase1(inner, result.epsilon_inverse, in_r, result);
-      });
+  return run_in_congest(net, config, nullptr);
 }
 
 MvcCongestResult solve_g2_mvc_congest(GraphView g,
@@ -401,11 +416,7 @@ MvcCongestResult solve_g2_mvc_congest(GraphView g,
 
 MvcCongestResult solve_g2_mvc_congest_randomized(
     Network& net, Rng& rng, const MvcCongestConfig& config) {
-  return run_algorithm1(
-      net, config,
-      [&](Network& inner, std::vector<char>& in_r, MvcCongestResult& result) {
-        randomized_phase1(inner, config.epsilon, rng, in_r, result);
-      });
+  return run_in_congest(net, config, &rng);
 }
 
 MvcCongestResult solve_g2_mvc_congest_randomized(

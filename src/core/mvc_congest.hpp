@@ -16,6 +16,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <vector>
 
 #include "congest/network.hpp"
 #include "graph/cover.hpp"
@@ -72,5 +74,31 @@ MvcCongestResult solve_g2_mvc_congest_randomized(
 /// Caller-owned-simulator overload (see solve_g2_mvc_congest above).
 MvcCongestResult solve_g2_mvc_congest_randomized(
     congest::Network& net, Rng& rng, const MvcCongestConfig& config = {});
+
+/// The leader's local step of Phase II: rebuilds H = G^2[U] from the
+/// F-edge tokens it collected (Lemma 3), solves it with the configured
+/// leader solver, and returns R* in ascending vertex order.
+using LeaderSolve = std::function<std::vector<graph::VertexId>(
+    const std::vector<std::uint64_t>& tokens)>;
+
+/// How Phase II reaches a leader and back: ships each node's F-edge tokens
+/// (`tokens[v]` are v's) to one leader, runs `solve` there, and tells every
+/// node whether it is in R*, inserting the members into `cover`.  Node v's
+/// token for its edge to a U-neighbor u packs ((v·n + u) << 2) |
+/// (v ∈ U) << 1 | 1.
+using Phase2Transport =
+    std::function<void(std::vector<std::vector<std::uint64_t>> tokens,
+                       const LeaderSolve& solve, graph::VertexSet& cover)>;
+
+/// Algorithm 1 on `net` (rewound first) with a caller-chosen Phase II
+/// transport: Phase I over G's edges — max-id symmetry breaking when `rng`
+/// is null, Section 3.3's voting otherwise — then the U-status round pair
+/// that gives every node its F-edge tokens, then `transport`.  G need not
+/// be connected here: only the transport spans the network.  The CONGEST
+/// entry points above pipeline over a BFS tree (Lemma 2); the CONGESTED
+/// CLIQUE ones (mvc_clique.hpp) send straight to a leader (Lemma 9).
+MvcCongestResult run_algorithm1(congest::Network& net,
+                                const MvcCongestConfig& config, Rng* rng,
+                                const Phase2Transport& transport);
 
 }  // namespace pg::core

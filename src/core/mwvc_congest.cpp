@@ -184,11 +184,9 @@ MwvcCongestResult solve_g2_mwvc_congest(Network& net, const VertexWeights& w,
       }
       if (is_candidate[me] != 0) node.broadcast(Message{kCandidate, {}});
     });
-    // Derived after the barrier instead of set from inside the step: many
-    // nodes writing one shared bool is a data race even when every write
-    // stores the same value.
-    any_candidate = std::any_of(is_candidate.begin(), is_candidate.end(),
-                                [](char c) { return c != 0; });
+    // Only candidates sent, so a quiet round means no center is left
+    // anywhere (a crashed node's stale flag cannot keep the loop alive).
+    any_candidate = net.last_round_sent_messages();
     if (!any_candidate) break;
 
     // Round 3: 1-hop max candidate id.

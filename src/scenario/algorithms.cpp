@@ -123,17 +123,12 @@ std::vector<Algorithm> make_registry() {
       {"clique-mvc", "Theorem 11: randomized CONGESTED-CLIQUE (1+eps) MVC",
        Problem::kVertexCover, 2, true, true, false, false,
        [](const AlgorithmContext& ctx) {
-         core::MvcCliqueConfig config;
+         core::MvcCongestConfig config;
          config.epsilon = ctx.epsilon;
          Rng rng(mix_seed(ctx.seed, "clique-mvc"));
          const auto result =
              core::solve_g2_mvc_clique_randomized(ctx.comm, rng, config);
-         RunOutcome out;
-         out.solution = result.cover;
-         out.rounds = result.stats.rounds;
-         out.messages = result.stats.messages;
-         out.total_bits = result.stats.total_bits;
-         return out;
+         return from_congest(result.cover, result.stats);
        }});
   a.push_back(
       {"matching", "maximal matching in CONGEST: 2-approx MVC on comm itself",

@@ -25,6 +25,7 @@
 #include "core/mds_congest.hpp"
 #include "core/mvc_congest.hpp"
 #include "core/mwvc_congest.hpp"
+#include "core/naive.hpp"
 #include "graph/generators.hpp"
 #include "scenario/algorithms.hpp"
 #include "scenario/fault.hpp"
@@ -377,6 +378,12 @@ TEST(CorruptionFuzz, EveryErrorIsANamedAdversaryOutcome) {
       {"matching", [](Network& net, const Graph&, std::uint64_t) {
          core::solve_maximal_matching_congest(net);
        }},
+      {"naive-mvc", [](Network& net, const Graph&, std::uint64_t) {
+         core::solve_naively_in_congest(net, core::NaiveProblem::kMvcOnSquare);
+       }},
+      {"naive-mds", [](Network& net, const Graph&, std::uint64_t) {
+         core::solve_naively_in_congest(net, core::NaiveProblem::kMdsOnSquare);
+       }},
       {"primitives", [](Network& net, const Graph& g, std::uint64_t) {
          net.reset();
          const BfsTree tree = build_bfs_tree(net, elect_min_id_leader(net));
@@ -593,16 +600,67 @@ TEST(SweepFaults, CorruptedPayloadsNeverReachRangeChecks) {
   golden.epsilons = {0.5};
   golden.weightings = {"zipf"};
   golden.exact_baseline_max_n = 0;
+  // The naive leader took in-domain corrupted edge tokens at face value:
+  // naive-mvc failed with "leader reassembled a different graph" (cell 12
+  // at corrupt=0.01) and "self loops are not supported" (cell 6 of the
+  // zipf grid at corrupt=0.05).
+  //   sweep --scenarios ba,chung-lu,grid,geo-torus --algorithms
+  //         naive-mvc,naive-mds --sizes 24,40 --seeds 1,2,3
+  //         --fault-plan corrupt=0.01
+  SweepSpec naive;
+  naive.scenarios = {"ba", "chung-lu", "grid", "geo-torus"};
+  naive.algorithms = {"naive-mvc", "naive-mds"};
+  naive.sizes = {24, 40};
+  naive.seeds = {1, 2, 3};
+  naive.exact_baseline_max_n = 0;
+  SweepSpec zipf = naive;
+  zipf.algorithms = {"mds",      "matching", "mvc",       "mvc53",
+                     "mvc-rand", "mwvc",     "naive-mvc", "naive-mds"};
+  zipf.weightings = {"zipf"};
   const std::vector<std::pair<SweepSpec, std::string>> cases = {
-      {found, "drop=0.02,corrupt=0.01"}, {golden, "corrupt=0.01"}};
+      {found, "drop=0.02,corrupt=0.01"},
+      {golden, "corrupt=0.01"},
+      {naive, "corrupt=0.01"},
+      {zipf, "corrupt=0.05"}};
   for (const auto& [spec, text] : cases) {
     const FaultPlan plan = FaultPlan::parse(text);
     ExecOptions opts;
     opts.fault_plan = &plan;
     for (const CellResult& row : sweep_rows(spec, opts))
-      EXPECT_EQ(row.error.find("out of range"), std::string::npos)
+      EXPECT_TRUE(row.error.empty() || is_adversary_outcome(row.error))
           << text << " cell " << row.cell_index << ": " << row.error;
   }
+}
+
+TEST(SweepFaults, CrashedNodesNeverKeepQuiescenceLoopsAlive) {
+  // Regression: the Phase I and proposal loops used to end on a fold over
+  // every node's candidate or proposal flag, and a crashed node never
+  // clears its own, so every matching cell ran out its round budget.
+  //   sweep --scenarios ba,chung-lu,grid,geo-torus --algorithms
+  //         matching,mvc,mwvc --sizes 24,40 --seeds 1,2,3
+  //         --fault-plan crash=0.01
+  SweepSpec spec;
+  spec.scenarios = {"ba", "chung-lu", "grid", "geo-torus"};
+  spec.algorithms = {"matching", "mvc", "mwvc"};
+  spec.sizes = {24, 40};
+  spec.seeds = {1, 2, 3};
+  spec.exact_baseline_max_n = 0;
+  const FaultPlan plan = FaultPlan::parse("crash=0.01");
+  ExecOptions opts;
+  opts.fault_plan = &plan;
+  const std::vector<CellResult> rows = sweep_rows(spec, opts);
+  ASSERT_EQ(rows.size(), 72u);
+  std::int64_t crashed = 0;
+  for (const CellResult& row : rows) {
+    crashed += row.nodes_crashed;
+    EXPECT_EQ(row.error.find("round budget"), std::string::npos)
+        << "cell " << row.cell_index << ": " << row.error;
+    EXPECT_TRUE(row.error.empty() || is_adversary_outcome(row.error))
+        << "cell " << row.cell_index << ": " << row.error;
+    if (row.spec.algorithm == "matching")
+      EXPECT_EQ(row.status, CellStatus::kOk) << "cell " << row.cell_index;
+  }
+  EXPECT_GT(crashed, 0) << "the plan was expected to actually bite";
 }
 
 TEST(SweepFaults, ZeroRatePlanIsByteIdenticalToNoPlan) {

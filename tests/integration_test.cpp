@@ -50,7 +50,7 @@ TEST(Integration, AllAlgorithmsAgreeOnEasyInstances) {
   const auto naive =
       core::solve_naively_in_congest(g, core::NaiveProblem::kMvcOnSquare);
   Rng rng(5);
-  core::MvcCliqueConfig clique_config;
+  core::MvcCongestConfig clique_config;
   clique_config.epsilon = 0.25;
   const auto clique = core::solve_g2_mvc_clique_randomized(g, rng,
                                                            clique_config);

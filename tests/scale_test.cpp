@@ -79,12 +79,12 @@ TEST(Scale, RandomizedCliqueOnThreeHundredVertices) {
   Rng rng(1307);
   Rng alg_rng(99);
   const Graph g = graph::connected_gnp(300, 0.08, rng);
-  core::MvcCliqueConfig config;
+  core::MvcCongestConfig config;
   config.epsilon = 0.25;
-  config.leader_exact = false;
+  config.leader_solver = core::LeaderSolver::kFiveThirds;
   const auto result = core::solve_g2_mvc_clique_randomized(g, alg_rng, config);
   EXPECT_TRUE(graph::is_vertex_cover_of_square(g, result.cover));
-  EXPECT_LE(result.phases,
+  EXPECT_LE(result.iterations,
             10 * static_cast<int>(std::log2(300.0)) + 10);
 }
 
