@@ -1,8 +1,12 @@
 #include "congest/primitives.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <deque>
 #include <limits>
+#include <numeric>
+
+#include "graph/ops.hpp"
 
 namespace pg::congest {
 
@@ -31,11 +35,10 @@ std::size_t slot_of(graph::GraphView g, NodeId v, NodeId target) {
 }
 }  // namespace
 
-NodeId elect_min_id_leader(Network& net) {
+std::vector<NodeId> elect_min_id_leader(Network& net) {
   const std::size_t n = net.n();
-  PG_REQUIRE(n > 0, "cannot elect a leader in an empty network");
   std::vector<NodeId> best(n);
-  for (std::size_t v = 0; v < n; ++v) best[v] = static_cast<NodeId>(v);
+  std::iota(best.begin(), best.end(), 0);
   // Sentinel forcing everyone to broadcast in the first round.
   std::vector<NodeId> last_broadcast(n, std::numeric_limits<NodeId>::max());
   net.declare(kMinId, {{0, static_cast<std::int64_t>(n) - 1}});
@@ -56,28 +59,37 @@ NodeId elect_min_id_leader(Network& net) {
     });
   } while (net.last_round_sent_messages());
 
-  const NodeId leader = best[0];
-  for (std::size_t v = 0; v < n; ++v)
+  // Components are labeled in order of their smallest vertex, so the
+  // first vertex seen with a label is that component's leader.
+  const graph::Components comps = graph::connected_components(net.topology());
+  std::vector<NodeId> smallest(static_cast<std::size_t>(comps.count), -1);
+  for (std::size_t v = 0; v < n; ++v) {
+    NodeId& leader = smallest[static_cast<std::size_t>(comps.component[v])];
+    if (leader == -1) leader = static_cast<NodeId>(v);
     PG_CHECK(best[v] == leader,
-             "leader flood did not converge (disconnected topology?)");
-  return leader;
+             "leader flood did not converge (lost message or crashed relay?)");
+  }
+  return best;
 }
 
-BfsTree build_bfs_tree(Network& net, NodeId root) {
+BfsTree build_bfs_tree(Network& net, const std::vector<NodeId>& leader) {
   const std::size_t n = net.n();
-  net.topology().check_vertex(root);
+  PG_REQUIRE(leader.size() == n, "leader list size mismatch");
   BfsTree tree;
-  tree.root = root;
+  tree.root = leader;
   tree.parent.assign(n, -1);
   tree.depth.assign(n, -1);
   tree.children.resize(n);
-  tree.depth[static_cast<std::size_t>(root)] = 0;
 
   // char, not vector<bool>: nodes flip their own flag from inside the
   // (possibly parallel) round, and vector<bool> packs neighbors into one
   // shared word.
   std::vector<char> announce(n, 0);
-  announce[static_cast<std::size_t>(root)] = 1;
+  for (std::size_t v = 0; v < n; ++v)
+    if (leader[v] == static_cast<NodeId>(v)) {
+      tree.depth[v] = 0;
+      announce[v] = 1;
+    }
   net.declare(kBfsJoin, {{0, static_cast<std::int64_t>(n) - 1}});
   net.declare(kBfsAdopt, {});
   // A node's depth is the flood layer it joins in: joins happen on odd
@@ -121,50 +133,54 @@ BfsTree build_bfs_tree(Network& net, NodeId root) {
   return tree;
 }
 
-std::vector<std::uint64_t> upcast_tokens(
+std::vector<std::vector<std::uint64_t>> upcast_tokens(
     Network& net, const BfsTree& tree,
     std::vector<std::vector<std::uint64_t>> tokens_per_node,
     std::uint64_t max_token) {
   const std::size_t n = net.n();
   PG_REQUIRE(tokens_per_node.size() == n, "token list size mismatch");
+  const auto is_root = [&](std::size_t v) {
+    return tree.root[v] == static_cast<NodeId>(v);
+  };
   std::vector<std::deque<std::uint64_t>> queue(n);
-  std::size_t pending = 0;  // tokens not yet received by the root
+  std::vector<std::vector<std::uint64_t>> collected(n);
+  // Tokens not yet received by their root.  Several roots may collect in
+  // one (possibly parallel) round, so the count is shared atomically.
+  std::atomic<std::size_t> pending = 0;
   declare_tokens(net, max_token);
+  // Unreached nodes (parent == -1) are skipped: they may legally appear in a
+  // partial tree as long as they hold no tokens.  Parent slots are resolved
+  // once so the pipelined per-round sends are O(1) slot sends.
+  std::vector<std::size_t> parent_slot(n, 0);
   for (std::size_t v = 0; v < n; ++v) {
-    PG_REQUIRE(tokens_per_node[v].empty() ||
-                   v == static_cast<std::size_t>(tree.root) ||
+    PG_REQUIRE(tokens_per_node[v].empty() || is_root(v) ||
                    tree.parent[v] != -1,
                "tokens at a node the BFS tree did not reach");
+    if (is_root(v)) {
+      collected[v] = std::move(tokens_per_node[v]);
+      continue;
+    }
     queue[v].assign(tokens_per_node[v].begin(), tokens_per_node[v].end());
-    if (v != static_cast<std::size_t>(tree.root)) pending += queue[v].size();
-  }
-
-  // Unreached nodes (parent == -1) are skipped: they may legally appear in a
-  // partial tree as long as they hold no tokens (`pending` counts theirs, so
-  // the loop below would spin forever on a violation — same contract as
-  // before the slot precompute).
-  std::vector<std::size_t> parent_slot(n, 0);
-  for (std::size_t v = 0; v < n; ++v)
-    if (static_cast<NodeId>(v) != tree.root && tree.parent[v] != -1)
+    pending += queue[v].size();
+    if (tree.parent[v] != -1)
       parent_slot[v] = slot_of(net.topology(), static_cast<NodeId>(v),
                                tree.parent[v]);
+  }
 
-  std::vector<std::uint64_t> collected(
-      tokens_per_node[static_cast<std::size_t>(tree.root)]);
   while (pending > 0) {
     net.round([&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
       for (const Incoming& in : node.inbox()) {
         if (in.msg.kind != kToken) continue;
         const auto token = static_cast<std::uint64_t>(in.msg.at(0));
-        if (node.id() == tree.root) {
-          collected.push_back(token);
-          --pending;
+        if (is_root(me)) {
+          collected[me].push_back(token);
+          pending.fetch_sub(1, std::memory_order_relaxed);
         } else {
           queue[me].push_back(token);
         }
       }
-      if (node.id() != tree.root && !queue[me].empty()) {
+      if (!is_root(me) && !queue[me].empty()) {
         const auto token = queue[me].front();
         queue[me].pop_front();
         node.send_slot(parent_slot[me],
@@ -186,15 +202,19 @@ std::vector<std::uint64_t> upcast_tokens(
 
 std::vector<std::vector<std::uint64_t>> downcast_tokens(
     Network& net, const BfsTree& tree,
-    const std::vector<std::uint64_t>& tokens, std::uint64_t max_token) {
+    const std::vector<std::vector<std::uint64_t>>& tokens,
+    std::uint64_t max_token) {
   const std::size_t n = net.n();
+  PG_REQUIRE(tokens.size() == n, "token list size mismatch");
   declare_tokens(net, max_token);
 
   std::vector<std::deque<std::uint64_t>> queue(n);
   std::vector<std::vector<std::uint64_t>> received(n);
-  queue[static_cast<std::size_t>(tree.root)].assign(tokens.begin(),
-                                                    tokens.end());
-  received[static_cast<std::size_t>(tree.root)] = tokens;
+  for (std::size_t v = 0; v < n; ++v)
+    if (tree.root[v] == static_cast<NodeId>(v)) {
+      queue[v].assign(tokens[v].begin(), tokens[v].end());
+      received[v] = tokens[v];
+    }
 
   std::vector<std::vector<std::size_t>> child_slot(n);
   for (std::size_t v = 0; v < n; ++v)
@@ -222,9 +242,30 @@ std::vector<std::vector<std::uint64_t>> downcast_tokens(
   } while (net.last_round_sent_messages());
 
   for (std::size_t v = 0; v < n; ++v)
-    PG_CHECK(received[v].size() == tokens.size(),
+    PG_CHECK(received[v].size() ==
+                 tokens[static_cast<std::size_t>(tree.root[v])].size(),
              "downcast did not deliver all tokens");
   return received;
+}
+
+std::vector<NodeId> gather_solve_scatter(
+    Network& net, std::vector<std::vector<std::uint64_t>> tokens,
+    std::uint64_t max_token, const LeaderSolve& solve) {
+  const std::size_t n = net.n();
+  if (n == 0) return {};
+  const BfsTree tree = build_bfs_tree(net, elect_min_id_leader(net));
+  auto answers = upcast_tokens(net, tree, std::move(tokens), max_token);
+  for (std::size_t v = 0; v < n; ++v) {
+    if (tree.root[v] != static_cast<NodeId>(v)) continue;
+    const std::vector<NodeId> ids = solve(static_cast<NodeId>(v), answers[v]);
+    answers[v].assign(ids.begin(), ids.end());
+  }
+  const auto received = downcast_tokens(net, tree, answers, n - 1);
+  std::vector<NodeId> heard;
+  for (std::size_t v = 0; v < n; ++v)
+    if (std::ranges::find(received[v], v) != received[v].end())
+      heard.push_back(static_cast<NodeId>(v));
+  return heard;
 }
 
 }  // namespace pg::congest

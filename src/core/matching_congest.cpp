@@ -71,10 +71,16 @@ MatchingCongestResult solve_maximal_matching_congest(Network& net) {
     any_proposal = net.last_round_sent_messages();
     if (!any_proposal) break;
 
-    // Round B: mutual proposals match; newly matched announce it.
+    // Round B: mutual proposals match; newly matched announce it.  A
+    // proposal to a matched node means its kMatched never arrived (only
+    // an adversary loses one), so it answers that proposer again.
     net.round([&](NodeView& node) {
       const auto me = static_cast<std::size_t>(node.id());
-      if (matched[me] != 0) return;
+      if (matched[me] != 0) {
+        for (const Incoming& in : node.inbox())
+          if (in.msg.kind == kPropose) node.reply(in, Message{kMatched, {}});
+        return;
+      }
       bool mutual = false;
       for (const Incoming& in : node.inbox())
         if (in.msg.kind == kPropose && in.from == proposed_to[me])

@@ -7,7 +7,6 @@
 
 #include "core/estimator.hpp"
 #include "core/solver_util.hpp"
-#include "graph/ops.hpp"
 
 namespace pg::core {
 
@@ -65,7 +64,6 @@ MdsCongestResult solve_g2_mds_congest(Network& net, Rng& rng,
                                       const MdsCongestConfig& config) {
   net.reset();
   GraphView g = net.topology();
-  PG_REQUIRE(graph::is_connected(g), "Theorem 28 assumes a connected network");
   const std::size_t n = static_cast<std::size_t>(g.num_vertices());
   MdsCongestResult result;
   result.dominating_set = VertexSet(g.num_vertices());

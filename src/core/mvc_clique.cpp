@@ -52,7 +52,8 @@ void stream_to_leader(CliqueNetwork& clique,
   clique.round(step);  // the last tokens in flight reach the leader
 
   std::vector<char> in_r_star(n, 0);
-  for (VertexId v : solve(at_leader)) in_r_star[static_cast<std::size_t>(v)] = 1;
+  for (VertexId v : solve(0, at_leader))
+    in_r_star[static_cast<std::size_t>(v)] = 1;
   clique.round([&](NodeView& node) {
     if (node.id() != 0) return;
     for (std::size_t other = 1; other < n; ++other)

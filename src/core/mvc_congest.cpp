@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <set>
 
 #include "congest/primitives.hpp"
 #include "core/mvc_centralized.hpp"
 #include "core/solver_util.hpp"
 #include "core/trivial.hpp"
 #include "graph/matching.hpp"
-#include "graph/ops.hpp"
 #include "solvers/exact_vc.hpp"
 
 namespace pg::core {
@@ -34,30 +31,6 @@ constexpr std::uint8_t kMaxCand = 3;    // field 0: max candidate id <=1 hop
 constexpr std::uint8_t kSelect = 4;     // sender was selected as a center
 constexpr std::uint8_t kUStatus = 5;    // field 0: 1 iff sender is in U
 constexpr std::uint8_t kVote = 6;       // field 0: id of chosen candidate
-
-/// Packs an F-edge token: ((u*n + v) << 2) | (u_in_U << 1) | v_in_U.
-std::uint64_t encode_f_edge(std::uint64_t n, VertexId u, VertexId v,
-                            bool u_in_u, bool v_in_u) {
-  const auto a = static_cast<std::uint64_t>(u);
-  const auto b = static_cast<std::uint64_t>(v);
-  return (((a * n) + b) << 2) | (static_cast<std::uint64_t>(u_in_u) << 1) |
-         static_cast<std::uint64_t>(v_in_u);
-}
-
-struct FEdge {
-  VertexId u, v;
-  bool u_in_u, v_in_u;
-};
-
-FEdge decode_f_edge(std::uint64_t n, std::uint64_t token) {
-  FEdge e{};
-  e.v_in_u = token & 1;
-  e.u_in_u = (token >> 1) & 1;
-  const std::uint64_t pair = token >> 2;
-  e.u = static_cast<VertexId>(pair / n);
-  e.v = static_cast<VertexId>(pair % n);
-  return e;
-}
 
 /// One Phase I round that applies selections: R-vertices that heard a
 /// kSelect join the cover, then `then(node)` runs in the same round.
@@ -253,63 +226,32 @@ void randomized_phase1(Network& net, double epsilon, Rng& rng,
   }
 }
 
-/// Phase II's first two rounds: every node announces whether it is in U,
-/// then holds one token per edge to a U-neighbor (it is responsible for
-/// its edges into U, Lemma 2).
-std::vector<std::vector<std::uint64_t>> f_edge_tokens(
-    Network& net, const std::vector<char>& in_u) {
-  const std::size_t n = net.n();
-  std::vector<std::vector<std::uint64_t>> tokens(n);
-  net.round([&](NodeView& node) {
-    node.broadcast(
-        Message{kUStatus, {in_u[static_cast<std::size_t>(node.id())]}});
-  });
-  net.round([&](NodeView& node) {
-    const auto me = static_cast<std::size_t>(node.id());
-    for (const Incoming& in : node.inbox())
-      if (in.msg.kind == kUStatus && in.msg.at(0) == 1)
-        tokens[me].push_back(
-            encode_f_edge(n, node.id(), in.from, in_u[me] != 0, true));
-  });
-  return tokens;
-}
-
-/// The leader's local step (free in either model): decode F, rebuild
-/// H = G^2[U] (Lemma 3), solve it, and return R* as vertices of G.
+/// The leader's local step (free in either model): decode its
+/// component's F, rebuild H = G^2[U] there (Lemma 3), solve it, and return
+/// R* as vertices of G.  Leaders of several components each add their
+/// share to the result's totals.
 std::vector<VertexId> solve_at_leader(std::size_t n,
                                       const std::vector<std::uint64_t>& raw,
                                       const MvcCongestConfig& config,
+                                      std::vector<VertexId>& to_h,
                                       MvcCongestResult& result) {
-  std::set<std::pair<VertexId, VertexId>> f_edges;
-  std::vector<bool> known_in_u(n, false);
-  std::map<VertexId, std::vector<VertexId>> u_neighbors;  // w -> N(w) ∩ U
-  for (std::uint64_t token : raw) {
-    const FEdge e = decode_f_edge(n, token);
-    const auto key = std::minmax(e.u, e.v);
-    f_edges.insert({key.first, key.second});
-    if (e.u_in_u) {
-      known_in_u[static_cast<std::size_t>(e.u)] = true;
-      u_neighbors[e.v].push_back(e.u);
-    }
-    if (e.v_in_u) {
-      known_in_u[static_cast<std::size_t>(e.v)] = true;
-      u_neighbors[e.u].push_back(e.v);
-    }
-  }
-  result.f_edge_count = f_edges.size();
-
-  std::vector<VertexId> u_list;
-  for (std::size_t v = 0; v < n; ++v)
-    if (known_in_u[v]) u_list.push_back(static_cast<VertexId>(v));
-  result.remainder_size = u_list.size();
-  const Graph h = remainder_square(n, u_list, f_edges, u_neighbors);
+  FEdges f;
+  for (std::uint64_t token : raw) f.add(n, token);
+  result.f_edge_count += f.edges.size();
+  std::vector<VertexId> u_list;  // every vertex some token shows in U
+  for (const auto& entry : f.u_neighbors)
+    u_list.insert(u_list.end(), entry.second.begin(), entry.second.end());
+  std::sort(u_list.begin(), u_list.end());
+  u_list.erase(std::unique(u_list.begin(), u_list.end()), u_list.end());
+  result.remainder_size += u_list.size();
+  const Graph h = remainder_square(u_list, f.edges, f.u_neighbors, to_h);
 
   VertexSet h_cover(h.num_vertices());
   switch (config.leader_solver) {
     case LeaderSolver::kExact: {
       const solvers::ExactResult exact =
           solvers::solve_mvc(h, config.exact_node_budget);
-      result.leader_solution_optimal = exact.optimal;
+      result.leader_solution_optimal &= exact.optimal;
       h_cover = exact.solution;
       break;
     }
@@ -328,35 +270,40 @@ std::vector<VertexId> solve_at_leader(std::size_t n,
   return r_star;
 }
 
-/// Theorem 1 in CONGEST: Phase II elects a leader and pipelines F up a
-/// BFS tree and R* back down it (Lemma 2).
+/// Theorem 1 in CONGEST: Phase II pipelines each component's F up its BFS
+/// tree to its leader and R* back down (Lemma 2).
 MvcCongestResult run_in_congest(Network& net, const MvcCongestConfig& config,
                                 Rng* rng) {
-  PG_REQUIRE(graph::is_connected(net.topology()),
-             "Theorem 1 assumes a connected network");
   return run_algorithm1(
       net, config, rng,
       [&](std::vector<std::vector<std::uint64_t>> tokens,
           const LeaderSolve& solve, VertexSet& cover) {
-        const std::size_t n = net.n();
-        const auto last = static_cast<VertexId>(n - 1);
-        const NodeId leader = congest::elect_min_id_leader(net);
-        const congest::BfsTree tree = congest::build_bfs_tree(net, leader);
-        const std::vector<std::uint64_t> raw = congest::upcast_tokens(
-            net, tree, std::move(tokens),
-            encode_f_edge(n, last, last, true, true));
-        std::vector<std::uint64_t> r_star;
-        for (VertexId v : solve(raw))
-          r_star.push_back(static_cast<std::uint64_t>(v));
-        const auto received =
-            congest::downcast_tokens(net, tree, r_star, n - 1);
-        for (std::size_t v = 0; v < n; ++v)
-          for (std::uint64_t token : received[v])
-            if (token == v) cover.insert(static_cast<VertexId>(v));
+        // The largest token packs (n-1, n-1, 1, 1): 4n^2 - 1.
+        const std::uint64_t n = net.n();
+        for (NodeId v : congest::gather_solve_scatter(
+                 net, std::move(tokens), 4 * n * n - 1, solve))
+          cover.insert(v);
       });
 }
 
 }  // namespace
+
+std::vector<std::vector<std::uint64_t>> f_edge_tokens(
+    Network& net, std::uint8_t kind, const std::vector<char>& in_u) {
+  const std::size_t n = net.n();
+  std::vector<std::vector<std::uint64_t>> tokens(n);
+  net.round([&](NodeView& node) {
+    node.broadcast(Message{kind, {in_u[static_cast<std::size_t>(node.id())]}});
+  });
+  net.round([&](NodeView& node) {
+    const auto me = static_cast<std::size_t>(node.id());
+    for (const Incoming& in : node.inbox())
+      if (in.msg.kind == kind && in.msg.at(0) == 1)
+        tokens[me].push_back(
+            encode_f_edge(n, node.id(), in.from, in_u[me] != 0, true));
+  });
+  return tokens;
+}
 
 MvcCongestResult run_algorithm1(Network& net, const MvcCongestConfig& config,
                                 Rng* rng, const Phase2Transport& transport) {
@@ -393,9 +340,10 @@ MvcCongestResult run_algorithm1(Network& net, const MvcCongestConfig& config,
   result.phase1_rounds = net.stats().rounds;
   result.phase1_cover_size = result.cover.size();
 
-  transport(f_edge_tokens(net, in_r),  // U = V \ S = R
-            [&](const std::vector<std::uint64_t>& raw) {
-              return solve_at_leader(n, raw, config, result);
+  std::vector<VertexId> to_h(n, -1);  // remainder_square's id table
+  transport(f_edge_tokens(net, kUStatus, in_r),  // U = V \ S = R
+            [&](NodeId, const std::vector<std::uint64_t>& raw) {
+              return solve_at_leader(n, raw, config, to_h, result);
             },
             result.cover);
   result.phase2_rounds = net.stats().rounds - result.phase1_rounds;

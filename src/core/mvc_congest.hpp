@@ -7,9 +7,9 @@
 // neighborhood N(c)∩R — a clique in G^2 — to the cover; symmetry is broken
 // by selecting candidates that hold the maximum id in their 2-hop
 // neighborhood (Lemma 5 gives the (1+ε') charge).  Phase II ships the O(n/ε)
-// remaining edges F to a leader over a BFS tree (Lemma 2), which
-// reconstructs H = G^2[U] locally (Lemma 3), solves it, and broadcasts the
-// solution.
+// remaining edges F to a leader over a BFS tree (Lemma 2; one leader per
+// connected component), which reconstructs H = G^2[U] locally (Lemma 3),
+// solves it, and broadcasts the solution.
 //
 // Round counts are measured by the simulator and include leader election,
 // tree construction, and pipelining.
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "congest/network.hpp"
+#include "congest/primitives.hpp"
 #include "graph/cover.hpp"
 #include "graph/graph.hpp"
 #include "util/rng.hpp"
@@ -51,8 +52,9 @@ struct MvcCongestResult {
   bool leader_solution_optimal = true;
 };
 
-/// Runs Algorithm 1 on a connected input graph.  For ε >= 1, returns the
-/// trivial all-vertices cover (a 0-round 2-approximation; see Lemma 6).
+/// Runs Algorithm 1, with one Phase II leader per connected component of
+/// the network.  For ε >= 1, returns the trivial cover of every
+/// non-isolated vertex (a 0-round 2-approximation; see Lemma 6).
 MvcCongestResult solve_g2_mvc_congest(graph::GraphView g,
                                       const MvcCongestConfig& config = {});
 
@@ -77,26 +79,34 @@ MvcCongestResult solve_g2_mvc_congest_randomized(
 
 /// The leader's local step of Phase II: rebuilds H = G^2[U] from the
 /// F-edge tokens it collected (Lemma 3), solves it with the configured
-/// leader solver, and returns R* in ascending vertex order.
-using LeaderSolve = std::function<std::vector<graph::VertexId>(
-    const std::vector<std::uint64_t>& tokens)>;
+/// leader solver, and returns R* in ascending vertex order.  Each call adds
+/// to the result's remainder_size and f_edge_count, so a transport may
+/// call it once per leader.
+using LeaderSolve = congest::LeaderSolve;
 
-/// How Phase II reaches a leader and back: ships each node's F-edge tokens
-/// (`tokens[v]` are v's) to one leader, runs `solve` there, and tells every
-/// node whether it is in R*, inserting the members into `cover`.  Node v's
+/// How Phase II reaches the leaders and back: ships each node's F-edge
+/// tokens (`tokens[v]` are v's) to a leader, runs `solve` there, and tells
+/// every node whether it is in R*, inserting the members into `cover`.  Node v's
 /// token for its edge to a U-neighbor u packs ((v·n + u) << 2) |
 /// (v ∈ U) << 1 | 1.
 using Phase2Transport =
     std::function<void(std::vector<std::vector<std::uint64_t>> tokens,
                        const LeaderSolve& solve, graph::VertexSet& cover)>;
 
+/// Phase II's first two rounds, shared by Theorems 1 and 7: every node
+/// announces in a `kind` message (declared {0, 1}) whether it is in U, then
+/// holds one F-edge token (encode_f_edge) per U-neighbor — it is
+/// responsible for its edges into U (Lemma 2).
+std::vector<std::vector<std::uint64_t>> f_edge_tokens(
+    congest::Network& net, std::uint8_t kind, const std::vector<char>& in_u);
+
 /// Algorithm 1 on `net` (rewound first) with a caller-chosen Phase II
 /// transport: Phase I over G's edges — max-id symmetry breaking when `rng`
 /// is null, Section 3.3's voting otherwise — then the U-status round pair
-/// that gives every node its F-edge tokens, then `transport`.  G need not
-/// be connected here: only the transport spans the network.  The CONGEST
-/// entry points above pipeline over a BFS tree (Lemma 2); the CONGESTED
-/// CLIQUE ones (mvc_clique.hpp) send straight to a leader (Lemma 9).
+/// that gives every node its F-edge tokens, then `transport`.  The CONGEST
+/// entry points above pipeline over each component's BFS tree (Lemma 2);
+/// the CONGESTED CLIQUE ones (mvc_clique.hpp) send straight to one leader
+/// (Lemma 9).
 MvcCongestResult run_algorithm1(congest::Network& net,
                                 const MvcCongestConfig& config, Rng* rng,
                                 const Phase2Transport& transport);

@@ -5,12 +5,11 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <set>
 
 #include "congest/primitives.hpp"
+#include "core/mvc_congest.hpp"
 #include "core/solver_util.hpp"
 #include "graph/matching.hpp"
-#include "graph/ops.hpp"
 #include "solvers/exact_vc.hpp"
 #include "solvers/greedy.hpp"
 
@@ -51,7 +50,6 @@ MwvcCongestResult solve_g2_mwvc_congest(Network& net, const VertexWeights& w,
   GraphView g = net.topology();
   PG_REQUIRE(config.epsilon > 0, "epsilon must be positive");
   PG_REQUIRE(w.size() == g.num_vertices(), "weights/graph size mismatch");
-  PG_REQUIRE(graph::is_connected(g), "Theorem 7 assumes a connected network");
   const std::size_t n = static_cast<std::size_t>(g.num_vertices());
   const Weight max_weight = std::max<Weight>(saturating_pow(n, 4), 16);
   for (VertexId v = 0; v < g.num_vertices(); ++v)
@@ -215,8 +213,6 @@ MwvcCongestResult solve_g2_mwvc_congest(Network& net, const VertexWeights& w,
   result.phase1_rounds = net.stats().rounds;
 
   // ---------------------------------------------------------- Phase II ---
-  std::vector<char> in_u(in_r);
-  std::vector<std::vector<std::uint64_t>> tokens(n);
   // Weight tokens pack (v, w(v)) as v·base + w.  The base must cover the
   // *actual* maximum weight only — the old choice of n^4+1 (the cap, not
   // the maximum) silently overflowed v·base for n >= ~6600 and corrupted
@@ -231,104 +227,76 @@ MwvcCongestResult solve_g2_mwvc_congest(Network& net, const VertexWeights& w,
              "weights too large to token-encode at this n");
   PG_REQUIRE(n <= (std::size_t{1} << 30),
              "n too large for the leader's edge-token encoding");
-  net.round([&](NodeView& node) {
-    const auto me = static_cast<std::size_t>(node.id());
-    node.broadcast(Message{kUStatus, {in_u[me] != 0 ? 1 : 0}});
-  });
-  net.round([&](NodeView& node) {
-    const auto me = static_cast<std::size_t>(node.id());
-    for (const Incoming& in : node.inbox()) {
-      if (in.msg.kind != kUStatus || in.msg.at(0) != 1) continue;
-      // F-edge token: 1 | u | v | u_in_u | v_in_u   (edge into U).
-      const auto a = static_cast<std::uint64_t>(node.id());
-      const auto b = static_cast<std::uint64_t>(in.from);
-      const std::uint64_t packed =
-          ((((a * n + b) << 1) | (in_u[me] != 0 ? 1 : 0)) << 1) | 1u;
-      tokens[me].push_back((packed << 1) | 1u);  // low bit 1: edge token
-    }
-    if (in_u[me] != 0) {
-      // Weight token: (v * base + w) with low bit 0.
-      const std::uint64_t packed =
-          static_cast<std::uint64_t>(node.id()) * weight_base +
-          static_cast<std::uint64_t>(w[node.id()]);
-      tokens[me].push_back(packed << 1);
-    }
-  });
+  // Theorem 1's F-edge tokens over a low 1, then at each U-vertex its
+  // weight token over a low 0 (U = R).
+  std::vector<std::vector<std::uint64_t>> tokens =
+      f_edge_tokens(net, kUStatus, in_r);
+  for (std::size_t v = 0; v < n; ++v) {
+    for (std::uint64_t& token : tokens[v]) token = (token << 1) | 1u;
+    if (in_r[v] != 0)
+      tokens[v].push_back((v * weight_base + static_cast<std::uint64_t>(
+                                                 w[static_cast<VertexId>(v)]))
+                          << 1);
+  }
 
-  const NodeId leader = congest::elect_min_id_leader(net);
-  const congest::BfsTree tree = congest::build_bfs_tree(net, leader);
+  // Leader-local reconstruction of its component's H = G^2[U] with
+  // weights; each leader adds its share to the result's totals.
+  const bool adversarial = net.faults_active();
+  std::vector<VertexId> to_h(n, -1);  // remainder_square's id table
+  const auto solve_at_leader = [&](NodeId,
+                                   const std::vector<std::uint64_t>& raw) {
+    FEdges f;
+    std::map<VertexId, Weight> u_weight;
+    for (std::uint64_t token : raw) {
+      const std::uint64_t packed = token >> 1;
+      const bool edge = (token & 1u) != 0;
+      // kToken's domain spans both token shapes, so a corrupted token can
+      // be in range yet malformed: an edge token whose neighbor is not in
+      // U or with a sender id >= n, a weight token naming a vertex id
+      // >= n.  It is rejected — a hard invariant unless an adversary is
+      // active, in which case the degraded cover goes to the certifier.
+      if (edge ? (packed & 1u) != 1u || (packed >> 2) / n >= n
+               : packed / weight_base >= n) {
+        PG_CHECK(adversarial, "malformed token");
+        continue;
+      }
+      if (edge)
+        f.add(n, packed);
+      else
+        u_weight[static_cast<VertexId>(packed / weight_base)] =
+            static_cast<Weight>(packed % weight_base);
+    }
+    result.f_edge_count += f.edges.size();
+
+    std::vector<VertexId> u_list;
+    VertexWeights h_weights(static_cast<VertexId>(u_weight.size()));
+    for (const auto& [v, weight] : u_weight) {
+      h_weights.set(static_cast<VertexId>(u_list.size()), weight);
+      u_list.push_back(v);
+    }
+    const Graph h = remainder_square(u_list, f.edges, f.u_neighbors, to_h);
+    VertexSet h_cover(h.num_vertices());
+    if (config.leader_exact) {
+      const solvers::ExactResult exact =
+          solvers::solve_mwvc(h, h_weights, config.exact_node_budget);
+      result.leader_solution_optimal &= exact.optimal;
+      h_cover = exact.solution;
+    } else {
+      h_cover = solvers::local_ratio_mwvc(h, h_weights);
+      result.leader_solution_optimal = false;
+    }
+    std::vector<NodeId> solution;
+    for (VertexId hv : h_cover.to_vector())
+      solution.push_back(u_list[static_cast<std::size_t>(hv)]);
+    return solution;
+  };
   // Largest edge token: packed (n-1, n-1, 1, 1) over a low 1; largest
   // weight token: ((n-1)·base + w_max) over a low 0.
-  const auto raw = congest::upcast_tokens(
-      net, tree, std::move(tokens),
-      std::max(8 * n * n - 1, 2 * (n * weight_base - 1)));
-
-  // Leader-local reconstruction of H = G^2[U] with weights.
-  std::set<std::pair<VertexId, VertexId>> f_edges;
-  std::map<VertexId, Weight> u_weight;
-  std::map<VertexId, std::vector<VertexId>> u_neighbors;
-  const bool adversarial = net.faults_active();
-  for (std::uint64_t token : raw) {
-    std::uint64_t packed = token >> 1;
-    const bool edge = (token & 1u) != 0;
-    // kToken's domain spans both token shapes, so a corrupted token can be
-    // in range yet malformed: an edge token without its marker bit or with
-    // a sender id >= n, a weight token naming a vertex id >= n.  It is
-    // rejected — a hard invariant unless an adversary is active, in which
-    // case the degraded cover goes to the certifier.
-    if (edge ? (packed & 1u) != 1u || (packed >> 2) / n >= n
-             : packed / weight_base >= n) {
-      PG_CHECK(adversarial, "malformed token");
-      continue;
-    }
-    if (edge) {
-      packed >>= 1;
-      const bool sender_in_u = (packed & 1u) != 0;
-      packed >>= 1;
-      const auto sender = static_cast<VertexId>(packed / n);
-      const auto nbr = static_cast<VertexId>(packed % n);
-      const auto key = std::minmax(sender, nbr);
-      f_edges.insert({key.first, key.second});
-      u_neighbors[sender].push_back(nbr);  // nbr is in U by construction
-      if (sender_in_u) u_neighbors[nbr].push_back(sender);
-    } else {
-      u_weight[static_cast<VertexId>(packed / weight_base)] =
-          static_cast<Weight>(packed % weight_base);
-    }
-  }
-  result.f_edge_count = f_edges.size();
-
-  std::vector<VertexId> u_list;
-  for (const auto& [v, weight] : u_weight) {
-    (void)weight;
-    u_list.push_back(v);
-  }
-  const Graph h = remainder_square(n, u_list, f_edges, u_neighbors);
-
-  VertexWeights h_weights(h.num_vertices());
-  for (std::size_t i = 0; i < u_list.size(); ++i)
-    h_weights.set(static_cast<VertexId>(i), u_weight.at(u_list[i]));
-
-  VertexSet h_cover(h.num_vertices());
-  if (config.leader_exact) {
-    const solvers::ExactResult exact =
-        solvers::solve_mwvc(h, h_weights, config.exact_node_budget);
-    result.leader_solution_optimal = exact.optimal;
-    h_cover = exact.solution;
-  } else {
-    h_cover = solvers::local_ratio_mwvc(h, h_weights);
-    result.leader_solution_optimal = false;
-  }
-
-  std::vector<std::uint64_t> solution_tokens;
-  for (VertexId hv : h_cover.to_vector())
-    solution_tokens.push_back(
-        static_cast<std::uint64_t>(u_list[static_cast<std::size_t>(hv)]));
-  const auto received =
-      congest::downcast_tokens(net, tree, solution_tokens, n - 1);
-  for (std::size_t v = 0; v < n; ++v)
-    for (std::uint64_t token : received[v])
-      if (token == v) result.cover.insert(static_cast<VertexId>(v));
+  for (NodeId v : congest::gather_solve_scatter(
+           net, std::move(tokens),
+           std::max(8 * n * n - 1, 2 * (n * weight_base - 1)),
+           solve_at_leader))
+    result.cover.insert(v);
 
   result.phase2_rounds = net.stats().rounds - result.phase1_rounds;
   result.stats = net.stats();

@@ -1,7 +1,8 @@
 #include "core/naive.hpp"
 
+#include <algorithm>
+
 #include "congest/primitives.hpp"
-#include "graph/ops.hpp"
 #include "graph/power.hpp"
 #include "solvers/exact_ds.hpp"
 #include "solvers/exact_vc.hpp"
@@ -9,6 +10,7 @@
 namespace pg::core {
 
 using congest::Network;
+using congest::NodeId;
 using graph::Graph;
 using graph::GraphView;
 using graph::VertexId;
@@ -24,18 +26,9 @@ NaiveResult solve_naively_in_congest(Network& net, NaiveProblem problem,
                                      std::int64_t exact_node_budget) {
   net.reset();
   GraphView g = net.topology();
-  PG_REQUIRE(graph::is_connected(g), "the baseline assumes a connected graph");
   const std::size_t n = static_cast<std::size_t>(g.num_vertices());
   NaiveResult result;
   result.solution = VertexSet(g.num_vertices());
-  if (n == 0) return result;
-  if (n == 1) {
-    if (problem == NaiveProblem::kMdsOnSquare) result.solution.insert(0);
-    return result;
-  }
-
-  const congest::NodeId leader = congest::elect_min_id_leader(net);
-  const congest::BfsTree tree = congest::build_bfs_tree(net, leader);
 
   // Every node ships each incident edge once (the lower endpoint reports).
   std::vector<std::vector<std::uint64_t>> tokens(n);
@@ -43,40 +36,52 @@ NaiveResult solve_naively_in_congest(Network& net, NaiveProblem problem,
     tokens[static_cast<std::size_t>(u)].push_back(
         static_cast<std::uint64_t>(u) * n + static_cast<std::uint64_t>(v));
   });
-  const auto raw =
-      congest::upcast_tokens(net, tree, std::move(tokens), n * n - 1);
 
-  // Leader-local: rebuild G, square it, solve exactly.  A well-formed
+  // Leader-local: rebuild its component of G over the token endpoints and
+  // itself, in ascending id order, square it, solve exactly.  A well-formed
   // token has u < v (the lower endpoint reports), so one a corruption left
-  // inside kToken's domain but not in that shape is dropped.
-  graph::GraphBuilder builder(g.num_vertices());
-  for (std::uint64_t token : raw)
-    if (token / n < token % n)
-      builder.add_edge(static_cast<VertexId>(token / n),
-                       static_cast<VertexId>(token % n));
-  const Graph assembled = std::move(builder).build();
-  if (assembled.num_edges() != g.num_edges())
+  // inside kToken's domain but not in that shape is dropped.  `local` maps
+  // a vertex into the leader's graph; each leader clears the entries it
+  // set, so its cost follows its own tokens, not n.
+  std::vector<VertexId> local(n, -1);
+  std::size_t assembled_edges = 0;
+  const auto solve = [&](NodeId leader, const std::vector<std::uint64_t>& raw) {
+    std::vector<VertexId> ids;
+    const auto see = [&](std::uint64_t v) {
+      if (local[v] == -1) ids.push_back(local[v] = static_cast<VertexId>(v));
+    };
+    see(static_cast<std::uint64_t>(leader));
+    for (std::uint64_t token : raw)
+      if (token / n < token % n) {
+        see(token / n);
+        see(token % n);
+      }
+    std::sort(ids.begin(), ids.end());
+    for (std::size_t i = 0; i < ids.size(); ++i)
+      local[static_cast<std::size_t>(ids[i])] = static_cast<VertexId>(i);
+    graph::GraphBuilder builder(static_cast<VertexId>(ids.size()));
+    for (std::uint64_t token : raw)
+      if (token / n < token % n)
+        builder.add_edge(local[token / n], local[token % n]);
+    for (VertexId v : ids) local[static_cast<std::size_t>(v)] = -1;
+    const Graph assembled = std::move(builder).build();
+    assembled_edges += assembled.num_edges();
+    const Graph square = graph::square(assembled);
+    const solvers::ExactResult exact =
+        problem == NaiveProblem::kMvcOnSquare
+            ? solvers::solve_mvc(square, exact_node_budget)
+            : solvers::solve_mds(square, exact_node_budget);
+    result.optimal = result.optimal && exact.optimal;
+    std::vector<NodeId> chosen;
+    for (VertexId v : exact.solution.to_vector())
+      chosen.push_back(ids[static_cast<std::size_t>(v)]);
+    return chosen;
+  };
+  for (NodeId v :
+       congest::gather_solve_scatter(net, std::move(tokens), n * n - 1, solve))
+    result.solution.insert(v);
+  if (assembled_edges != g.num_edges())
     PG_CHECK(net.faults_active(), "leader reassembled a different graph");
-  const Graph square = graph::square(assembled);
-
-  VertexSet chosen(g.num_vertices());
-  if (problem == NaiveProblem::kMvcOnSquare) {
-    const auto exact = solvers::solve_mvc(square, exact_node_budget);
-    result.optimal = exact.optimal;
-    chosen = exact.solution;
-  } else {
-    const auto exact = solvers::solve_mds(square, exact_node_budget);
-    result.optimal = exact.optimal;
-    chosen = exact.solution;
-  }
-
-  std::vector<std::uint64_t> answer;
-  for (VertexId v : chosen.to_vector())
-    answer.push_back(static_cast<std::uint64_t>(v));
-  const auto received = congest::downcast_tokens(net, tree, answer, n - 1);
-  for (std::size_t v = 0; v < n; ++v)
-    for (std::uint64_t token : received[v])
-      if (token == v) result.solution.insert(static_cast<VertexId>(v));
 
   result.stats = net.stats();
   return result;

@@ -24,8 +24,9 @@ struct NaiveResult {
   bool optimal = true;  // false if the leader's solver ran out of budget
 };
 
-/// Gathers G at a leader, solves `problem` on G^2 exactly, and broadcasts
-/// the answer; every round is simulated and counted.
+/// Gathers each component of G at its leader, solves `problem` on its
+/// square exactly, and broadcasts the answer; every round is simulated and
+/// counted.
 NaiveResult solve_naively_in_congest(
     graph::GraphView g, NaiveProblem problem,
     std::int64_t exact_node_budget = 50'000'000);

@@ -58,6 +58,32 @@ inline std::int64_t component_budget(graph::VertexId comp_size,
       remaining, std::max<std::int64_t>(50'000, 64'000'000 / comp_size));
 }
 
+/// The F-edge token of the Theorem 1 and Theorem 7 Phase IIs: node v's
+/// token for its edge to a neighbor u packs
+/// ((v·n + u) << 2) | (v ∈ U) << 1 | (u ∈ U).
+inline std::uint64_t encode_f_edge(std::uint64_t n, graph::VertexId v,
+                                   graph::VertexId u, bool v_in_u,
+                                   bool u_in_u) {
+  return ((static_cast<std::uint64_t>(v) * n + static_cast<std::uint64_t>(u))
+          << 2) |
+         (std::uint64_t{v_in_u} << 1) | std::uint64_t{u_in_u};
+}
+
+/// Lemma 3's leader-side decoding of F-edge tokens: the F-edges, and each
+/// vertex's neighbors that a token shows in U.
+struct FEdges {
+  std::set<std::pair<graph::VertexId, graph::VertexId>> edges;
+  std::map<graph::VertexId, std::vector<graph::VertexId>> u_neighbors;
+
+  void add(std::uint64_t n, std::uint64_t token) {
+    const auto v = static_cast<graph::VertexId>((token >> 2) / n);
+    const auto u = static_cast<graph::VertexId>((token >> 2) % n);
+    edges.insert(std::minmax(v, u));
+    if ((token & 2u) != 0) u_neighbors[u].push_back(v);
+    if ((token & 1u) != 0) u_neighbors[v].push_back(u);
+  }
+};
+
 /// Lemma 3's leader-side reconstruction of H = G^2[U], shared by the
 /// Theorem 1 and Theorem 7 Phase IIs: U-vertex u_list[i] becomes H-vertex
 /// i, F-edges with both ends in U become H-edges, and the U-neighbors of
@@ -66,11 +92,14 @@ inline std::int64_t component_budget(graph::VertexId comp_size,
 /// u_list and every F-edge joins two vertices; tokens an adversary
 /// corrupted within their range can name a neighbor outside u_list or an
 /// F-edge {u, u}, and both are left out of H like an F-edge leaving U.
+/// `to_h` holds -1 for each of G's n vertices; the call maps u_list through
+/// it and restores it, so one table serves every leader of a run and each
+/// call's cost follows its own tokens, not n.
 inline graph::Graph remainder_square(
-    std::size_t n, const std::vector<graph::VertexId>& u_list,
+    const std::vector<graph::VertexId>& u_list,
     const std::set<std::pair<graph::VertexId, graph::VertexId>>& f_edges,
-    std::map<graph::VertexId, std::vector<graph::VertexId>>& u_neighbors) {
-  std::vector<graph::VertexId> to_h(n, -1);
+    std::map<graph::VertexId, std::vector<graph::VertexId>>& u_neighbors,
+    std::vector<graph::VertexId>& to_h) {
   // at(): u_list comes from decoded tokens, and an id past n must throw
   // rather than write out of bounds.
   for (std::size_t i = 0; i < u_list.size(); ++i)
@@ -91,6 +120,7 @@ inline graph::Graph remainder_square(
       for (std::size_t j = i + 1; j < nbrs.size(); ++j)
         builder.add_edge(h(nbrs[i]), h(nbrs[j]));
   }
+  for (graph::VertexId v : u_list) to_h[static_cast<std::size_t>(v)] = -1;
   return std::move(builder).build();
 }
 

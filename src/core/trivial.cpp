@@ -4,7 +4,8 @@ namespace pg::core {
 
 graph::VertexSet trivial_power_cover(graph::GraphView g) {
   graph::VertexSet cover(g.num_vertices());
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) cover.insert(v);
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
+    if (g.degree(v) > 0) cover.insert(v);
   return cover;
 }
 

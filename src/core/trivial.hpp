@@ -8,7 +8,9 @@
 
 namespace pg::core {
 
-/// The all-vertices cover (the "0-round algorithm").
+/// The all-vertices cover (the "0-round algorithm").  Isolated vertices
+/// cover no edge and are left out, so the guarantee holds per component
+/// of a disconnected G too.
 graph::VertexSet trivial_power_cover(graph::GraphView g);
 
 /// Lemma 6's lower bound on |OPT(G^r)|: n - n/(⌊r/2⌋+1), rounded the safe

@@ -106,6 +106,7 @@ ImportResult import_edge_list(std::istream& in) {
   // Pass 1 (streaming): collect raw endpoint pairs with their original
   // (possibly 1-based or sparse) ids.
   std::vector<std::pair<std::int64_t, std::int64_t>> raw;
+  std::vector<std::int64_t> loop_ids;
   std::string line;
   while (std::getline(in, line)) {
     ++stats.lines;
@@ -120,26 +121,30 @@ ImportResult import_edge_list(std::istream& in) {
       parse_fail(stats.lines, "negative vertex id");
     ++stats.edge_lines;
     if (uv[0] == uv[1]) {
+      // The loop is dropped but its vertex is kept: a node listed only
+      // with a self-loop is an isolated vertex of the graph.
       ++stats.self_loops;
+      loop_ids.push_back(uv[0]);
       continue;
     }
-    stats.min_id = raw.empty() ? std::min(uv[0], uv[1])
-                               : std::min({stats.min_id, uv[0], uv[1]});
-    stats.max_id = std::max({stats.max_id, uv[0], uv[1]});
     raw.emplace_back(uv[0], uv[1]);
   }
   PG_REQUIRE(!in.bad(), "I/O error while reading the edge list");
 
   // Id remap: sorted distinct original ids become 0..n-1 (ascending, so a
   // dense input maps to itself and the result is deterministic).
-  std::vector<std::int64_t> ids;
-  ids.reserve(raw.size() * 2);
+  std::vector<std::int64_t> ids(std::move(loop_ids));
+  ids.reserve(ids.size() + raw.size() * 2);
   for (const auto& [u, v] : raw) {
     ids.push_back(u);
     ids.push_back(v);
   }
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  if (!ids.empty()) {
+    stats.min_id = ids.front();
+    stats.max_id = ids.back();
+  }
   PG_REQUIRE(ids.size() <= static_cast<std::size_t>(
                                std::numeric_limits<VertexId>::max()),
              "imported graph has more distinct vertex ids than int32 allows");

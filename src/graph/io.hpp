@@ -25,7 +25,7 @@ struct ImportStats {
   std::size_t lines = 0;        ///< input lines consumed
   std::size_t comment_lines = 0;///< '#'/'%' comments and blank lines
   std::size_t edge_lines = 0;   ///< lines carrying an edge pair
-  std::size_t self_loops = 0;   ///< dropped u==u entries
+  std::size_t self_loops = 0;   ///< dropped u==u entries (vertex kept)
   std::size_t duplicates = 0;   ///< dropped after symmetrization + dedup
   std::int64_t min_id = 0;      ///< smallest original vertex id seen
   std::int64_t max_id = -1;     ///< largest original vertex id seen
@@ -46,8 +46,9 @@ struct ImportResult {
 ///   * ids may be 1-based or sparse: distinct original ids are remapped to
 ///     dense 0..n-1 in ascending order (already-dense inputs map to
 ///     themselves, so the remap is the identity there);
-///   * self-loops are dropped, (u,v)/(v,u) and repeated pairs deduplicate
-///     to one undirected edge.
+///   * self-loops are dropped but keep their vertex (a node listed only
+///     as "<v> <v>" becomes an isolated vertex), (u,v)/(v,u) and repeated
+///     pairs deduplicate to one undirected edge.
 /// Memory and time are O(n + m) up to the sort used for the id remap and
 /// edge dedup.  Overflowing int32 vertex ids or the int32 adjacency slot
 /// space fails loudly.

@@ -663,6 +663,35 @@ TEST(SweepFaults, CrashedNodesNeverKeepQuiescenceLoopsAlive) {
   EXPECT_GT(crashed, 0) << "the plan was expected to actually bite";
 }
 
+TEST(SweepFaults, LostMatchAnnouncementsNeverStallMatching) {
+  // Regression: a node whose kMatched announcement never reached a
+  // neighbor ignored that neighbor's proposals from then on, and the
+  // neighbor proposed to it every round, so every matching cell ran out
+  // its round budget.  A matched node now answers each proposal with the
+  // announcement.
+  //   sweep --scenarios ba,chung-lu,grid,geo-torus --algorithms matching
+  //         --sizes 24,40 --seeds 1,2,3 --weights zipf
+  //         --fault-plan corrupt=0.05
+  SweepSpec spec;
+  spec.scenarios = {"ba", "chung-lu", "grid", "geo-torus"};
+  spec.algorithms = {"matching"};
+  spec.sizes = {24, 40};
+  spec.seeds = {1, 2, 3};
+  spec.weightings = {"zipf"};
+  spec.exact_baseline_max_n = 0;
+  for (const char* text :
+       {"corrupt=0.05", "drop=0.01,corrupt=0.01", "drop=0.05,net-seed=5"}) {
+    const FaultPlan plan = FaultPlan::parse(text);
+    ExecOptions opts;
+    opts.fault_plan = &plan;
+    const std::vector<CellResult> rows = sweep_rows(spec, opts);
+    ASSERT_EQ(rows.size(), 24u);
+    for (const CellResult& row : rows)
+      EXPECT_EQ(row.status, CellStatus::kOk)
+          << text << " cell " << row.cell_index << ": " << row.error;
+  }
+}
+
 TEST(SweepFaults, ZeroRatePlanIsByteIdenticalToNoPlan) {
   // "drop=0" parses but arms nothing: no model is installed, no fault
   // columns appear, and the report bytes match a plan-free run exactly.

@@ -495,12 +495,17 @@ TEST(Network, RebindToASmallTopologyShrinksOversizedBuffers) {
             8 * std::max<std::size_t>(fresh.buffer_bytes(), 1) + (1 << 16));
 }
 
+// Every node of a connected network led by node 0: the single-tree case.
+std::vector<NodeId> rooted_at_zero(const Network& net) {
+  return std::vector<NodeId>(net.n(), 0);
+}
+
 TEST(Primitives, LeaderElectionFindsMinId) {
   Rng rng(23);
   for (int trial = 0; trial < 5; ++trial) {
     const Graph g = graph::connected_gnp(24, 0.12, rng);
     Network net(g);
-    EXPECT_EQ(elect_min_id_leader(net), 0);
+    EXPECT_EQ(elect_min_id_leader(net), rooted_at_zero(net));
     // Rounds are bounded by diameter + constant.
     EXPECT_LE(net.stats().rounds, graph::diameter(g) + 3);
   }
@@ -510,7 +515,7 @@ TEST(Primitives, BfsTreeIsValid) {
   Rng rng(29);
   const Graph g = graph::connected_gnp(30, 0.12, rng);
   Network net(g);
-  const BfsTree tree = build_bfs_tree(net, 0);
+  const BfsTree tree = build_bfs_tree(net, rooted_at_zero(net));
   const auto dist = graph::bfs_distances(g, 0);
   for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
     EXPECT_EQ(tree.depth[static_cast<std::size_t>(v)], dist[static_cast<std::size_t>(v)])
@@ -530,7 +535,7 @@ TEST(Primitives, BfsTreeIsValid) {
 TEST(Primitives, UpcastCollectsEverything) {
   const Graph g = graph::path_graph(6);
   Network net(g);
-  const BfsTree tree = build_bfs_tree(net, 0);
+  const BfsTree tree = build_bfs_tree(net, rooted_at_zero(net));
   std::vector<std::vector<std::uint64_t>> tokens(6);
   std::vector<std::uint64_t> expected;
   for (std::size_t v = 0; v < 6; ++v)
@@ -539,9 +544,10 @@ TEST(Primitives, UpcastCollectsEverything) {
       expected.push_back(10 * v + i);
     }
   auto collected = upcast_tokens(net, tree, tokens, 55);
-  std::sort(collected.begin(), collected.end());
+  std::sort(collected[0].begin(), collected[0].end());
   std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(collected, expected);
+  EXPECT_EQ(collected[0], expected);
+  for (std::size_t v = 1; v < 6; ++v) EXPECT_TRUE(collected[v].empty());
 }
 
 TEST(Primitives, UpcastRoundsArePipelined) {
@@ -550,7 +556,7 @@ TEST(Primitives, UpcastRoundsArePipelined) {
   const int length = 20, count = 30;
   const Graph g = graph::path_graph(length);
   Network net(g);
-  const BfsTree tree = build_bfs_tree(net, 0);
+  const BfsTree tree = build_bfs_tree(net, rooted_at_zero(net));
   const auto before = net.stats().rounds;
   std::vector<std::vector<std::uint64_t>> tokens(length);
   for (int i = 0; i < count; ++i)
@@ -565,26 +571,120 @@ TEST(Primitives, DowncastDeliversToAll) {
   Rng rng(31);
   const Graph g = graph::connected_gnp(18, 0.15, rng);
   Network net(g);
-  const BfsTree tree = build_bfs_tree(net, 0);
-  const std::vector<std::uint64_t> tokens = {5, 9, 14};
+  const BfsTree tree = build_bfs_tree(net, rooted_at_zero(net));
+  std::vector<std::vector<std::uint64_t>> tokens(18);
+  tokens[0] = {5, 9, 14};
   const auto received = downcast_tokens(net, tree, tokens, 14);
   for (std::size_t v = 0; v < 18; ++v) {
     auto sorted = received[v];
     std::sort(sorted.begin(), sorted.end());
-    EXPECT_EQ(sorted, tokens);
+    EXPECT_EQ(sorted, tokens[0]);
   }
 }
 
 TEST(Primitives, UpcastRejectsWideTokens) {
   const Graph g = graph::path_graph(4);  // bandwidth 32 bits
   Network net(g);
-  const BfsTree tree = build_bfs_tree(net, 0);
+  const BfsTree tree = build_bfs_tree(net, rooted_at_zero(net));
   std::vector<std::vector<std::uint64_t>> tokens(4);
   tokens[3].push_back(std::uint64_t{1} << 40);
   // A bound the bandwidth cannot carry, and a token above the bound.
   EXPECT_THROW(upcast_tokens(net, tree, tokens, std::uint64_t{1} << 40),
                PreconditionViolation);
   EXPECT_THROW(upcast_tokens(net, tree, tokens, 255), PreconditionViolation);
+}
+
+// Two components with interleaved ids — a path 0-2-5-7 and a star around
+// 4 on {1, 4, 6, 8} — plus the isolated vertex 3.
+Graph two_components_and_a_singleton() {
+  graph::GraphBuilder b(9);
+  for (auto [u, v] : {std::pair{0, 2}, {2, 5}, {5, 7}, {1, 4}, {4, 6}, {4, 8}})
+    b.add_edge(u, v);
+  return std::move(b).build();
+}
+
+const std::vector<NodeId> kComponentLeader = {0, 1, 0, 3, 1, 0, 1, 0, 1};
+
+TEST(PrimitivesForest, EachRootCollectsExactlyItsComponentsTokens) {
+  const Graph g = two_components_and_a_singleton();
+  Network net(g);
+  const std::vector<NodeId> leader = elect_min_id_leader(net);
+  ASSERT_EQ(leader, kComponentLeader);
+  const BfsTree tree = build_bfs_tree(net, leader);
+  EXPECT_EQ(tree.root, leader);
+  EXPECT_EQ(tree.height, 3);  // 7 sits three hops below 0
+  std::vector<std::vector<std::uint64_t>> tokens(9);
+  std::vector<std::vector<std::uint64_t>> expected(9);
+  for (std::size_t v = 0; v < 9; ++v)
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      tokens[v].push_back(10 * v + i);
+      expected[static_cast<std::size_t>(leader[v])].push_back(10 * v + i);
+    }
+  auto collected = upcast_tokens(net, tree, tokens, 99);
+  for (auto& list : collected) std::sort(list.begin(), list.end());
+  EXPECT_EQ(collected, expected);
+}
+
+TEST(PrimitivesForest, EachDowncastReachesOnlyItsOwnTree) {
+  const Graph g = two_components_and_a_singleton();
+  Network net(g);
+  const BfsTree tree = build_bfs_tree(net, elect_min_id_leader(net));
+  std::vector<std::vector<std::uint64_t>> tokens(9);
+  tokens[0] = {100, 101};
+  tokens[1] = {200};
+  tokens[2] = {999};  // not a root: ignored
+  const auto received = downcast_tokens(net, tree, tokens, 999);
+  for (std::size_t v = 0; v < 9; ++v)
+    EXPECT_EQ(received[v], tokens[static_cast<std::size_t>(kComponentLeader[v])])
+        << "node " << v;
+}
+
+TEST(PrimitivesForest, GatherSolveScatterAnswersEachComponent) {
+  const Graph g = two_components_and_a_singleton();
+  Network net(g);
+  std::vector<std::vector<std::uint64_t>> tokens(9);
+  for (std::size_t v = 0; v < 9; ++v) tokens[v] = {v};
+  std::vector<NodeId> leaders;
+  // Each leader answers with the largest id it gathered.
+  const std::vector<NodeId> heard = gather_solve_scatter(
+      net, tokens, 8,
+      [&](NodeId leader, const std::vector<std::uint64_t>& gathered) {
+        leaders.push_back(leader);
+        return std::vector<NodeId>{static_cast<NodeId>(
+            *std::max_element(gathered.begin(), gathered.end()))};
+      });
+  EXPECT_EQ(leaders, (std::vector<NodeId>{0, 1, 3}));
+  EXPECT_EQ(heard, (std::vector<NodeId>{3, 7, 8}));
+}
+
+TEST(PrimitivesForest, CrashedRelayEndsInANamedOutcome) {
+  const Graph g = two_components_and_a_singleton();
+  std::vector<std::vector<std::uint64_t>> tokens(9);
+  for (std::size_t v = 0; v < 9; ++v) tokens[v] = {v};
+  const LeaderSolve echo = [](NodeId leader, const std::vector<std::uint64_t>&) {
+    return std::vector<NodeId>{leader};
+  };
+  // The fault-free election and forest take this many rounds; crashing
+  // relay 2 (between 0 and 5-7) before the first round cuts the flood,
+  // crashing it then strands the tokens below it.
+  Network clean(g);
+  build_bfs_tree(clean, elect_min_id_leader(clean));
+  const std::int64_t forest_rounds = clean.stats().rounds;
+  for (const auto& [round, outcome] :
+       {std::pair<std::int64_t, std::string>{0, "leader flood did not converge"},
+        {forest_rounds, "upcast stalled"}}) {
+    FaultModel model;
+    model.crash_schedule = {{round, 2}};
+    Network net(g);
+    net.set_fault_model(model);
+    try {
+      gather_solve_scatter(net, tokens, 8, echo);
+      ADD_FAILURE() << "crash at round " << round << " went unnoticed";
+    } catch (const InvariantViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(outcome), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

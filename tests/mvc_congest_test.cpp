@@ -157,10 +157,6 @@ TEST(MvcCongest, SingleVertexAndSingleEdge) {
 }
 
 TEST(MvcCongest, RejectsBadInput) {
-  graph::GraphBuilder b(4);
-  b.add_edge(0, 1);  // disconnected
-  const Graph g = std::move(b).build();
-  EXPECT_THROW(solve_g2_mvc_congest(g), PreconditionViolation);
   MvcCongestConfig config;
   config.epsilon = 0.0;
   EXPECT_THROW(solve_g2_mvc_congest(graph::path_graph(3), config),
@@ -276,15 +272,29 @@ TEST(RemainderSquare, SkipsSelfLoopsAndUnlistedNeighbors) {
       {1, 1}, {1, 3}, {2, 4}};
   std::map<VertexId, std::vector<VertexId>> u_neighbors = {
       {0, {4, 3, 4, 0}}, {2, {2, 4}}};
-  const Graph h = remainder_square(5, u_list, f_edges, u_neighbors);
+  std::vector<VertexId> to_h(5, -1);
+  const Graph h = remainder_square(u_list, f_edges, u_neighbors, to_h);
   ASSERT_EQ(h.num_vertices(), 3);
   EXPECT_EQ(h.num_edges(), 2u);  // {1, 3} direct, {3, 4} through vertex 0
   EXPECT_TRUE(h.has_edge(0, 1));
   EXPECT_TRUE(h.has_edge(1, 2));
   EXPECT_EQ(u_neighbors.at(0), (std::vector<VertexId>{3, 4}));
+  EXPECT_EQ(to_h, std::vector<VertexId>(5, -1));  // restored for reuse
 }
 
 // ------------------------------------------------------------- Lemma 6 ----
+
+TEST(Trivial, CoverLeavesIsolatedVerticesOut) {
+  // An isolated vertex covers nothing; counting it would break the
+  // 2-approximation on disconnected inputs (OPT of this G^2 is 1).
+  graph::GraphBuilder b(4);
+  b.add_edge(1, 2);
+  const Graph g = std::move(b).build();
+  MvcCongestConfig config;
+  config.epsilon = 1.0;
+  const MvcCongestResult result = solve_g2_mvc_congest(g, config);
+  EXPECT_EQ(result.cover.to_vector(), (std::vector<VertexId>{1, 2}));
+}
 
 TEST(Trivial, Lemma6LowerBoundHolds) {
   Rng rng(227);

@@ -196,15 +196,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomizedSweep, ::testing::Range(0, 10));
 // Failure injection: every documented precondition actually throws.
 TEST(FailureInjection, PreconditionsThrow) {
   const Graph path = graph::path_graph(4);
-  // Disconnected input.
-  graph::GraphBuilder b(4);
-  b.add_edge(0, 1);
-  const Graph disconnected = std::move(b).build();
-  EXPECT_THROW(core::solve_g2_mvc_congest(disconnected),
-               PreconditionViolation);
-  Rng rng(1);
-  EXPECT_THROW(core::solve_g2_mds_congest(disconnected, rng),
-               PreconditionViolation);
   // Bad epsilon.
   core::MvcCongestConfig bad;
   bad.epsilon = -0.5;
@@ -219,6 +210,7 @@ TEST(FailureInjection, PreconditionsThrow) {
   EXPECT_THROW(solvers::solve_mwvc(path, negative), PreconditionViolation);
   // Estimator membership size mismatch.
   congest::Network net(path);
+  Rng rng(1);
   std::vector<bool> wrong_size(3, true);
   EXPECT_THROW(core::estimate_two_hop_counts(net, wrong_size, rng),
                PreconditionViolation);

@@ -10,14 +10,22 @@
 //     cap).  The weighted (non-unit) conformance suite is
 //     scenario_weighted_test.cpp.
 // New algorithms join the sweep automatically via the registry.
+// DisconnectedConformance runs every algorithm on a committed fixture with
+// two components and an isolated vertex (tests/data/two-components.txt).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <fstream>
 #include <string>
 #include <vector>
 
+#include "graph/io.hpp"
+#include "graph/ops.hpp"
+#include "graph/storage.hpp"
 #include "scenario/algorithms.hpp"
 #include "scenario/runner.hpp"
+#include "temp_dir.hpp"
 
 namespace pg::scenario {
 namespace {
@@ -109,6 +117,97 @@ TEST_P(ScenarioConformance, FeasibleAndWithinGuarantee) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ScenarioConformance,
                          ::testing::ValuesIn(make_cases()), case_name);
+
+// ------------------------------------------------ disconnected networks ---
+
+graph::Graph two_components() {
+  std::ifstream file(std::string(PG_TEST_DATA_DIR) + "/two-components.txt");
+  EXPECT_TRUE(file) << "missing committed fixture tests/data/two-components.txt";
+  return graph::import_edge_list(file).graph;
+}
+
+CellSpec disconnected_cell(const Algorithm& alg, graph::GraphView g, int r) {
+  CellSpec cell;
+  cell.scenario = "two-components";
+  cell.algorithm = alg.name;
+  cell.n = g.num_vertices();
+  cell.r = r;
+  cell.epsilon_used = alg.uses_epsilon;
+  return cell;
+}
+
+TEST(DisconnectedConformance, EveryAlgorithmIsCertifiedOnEveryComponent) {
+  const graph::Graph g = two_components();
+  ASSERT_EQ(graph::connected_components(g).count, 3);
+  const test_support::TempDir dir;
+  const std::string path = dir.file("two-components.pgcsr");
+  graph::write_pgcsr_file(g, path);
+
+  SweepSpec spec;
+  spec.scenarios = {"file:" + path};
+  spec.algorithms = algorithm_names();
+  spec.sizes = {g.num_vertices()};
+  spec.powers = {2, 4};
+  ExecOptions opts;
+  opts.certify = true;
+  std::size_t rows = 0;
+  run_sweep_stream(
+      spec,
+      [&](const CellResult& row) {
+        ++rows;
+        const std::string where =
+            row.spec.algorithm + " r=" + std::to_string(row.spec.r);
+        ASSERT_EQ(row.status, CellStatus::kOk) << where << ": " << row.error;
+        EXPECT_TRUE(row.feasible) << where;
+        ASSERT_EQ(row.baseline, BaselineKind::kExact) << where;
+        const double bound = published_ratio_bound(
+            algorithm_or_throw(row.spec.algorithm), row.spec.epsilon);
+        if (bound > 0.0)
+          EXPECT_LE(static_cast<double>(row.solution_size),
+                    bound * static_cast<double>(row.baseline_size) + 1e-9)
+              << where;
+      },
+      opts);
+  EXPECT_EQ(rows, count_grid_cells(spec));
+}
+
+// Components share rounds but never messages, so a deterministic CONGEST
+// run on the whole fixture takes at least its slowest component's solo
+// run and at most all of them back to back, and its leaders, which each
+// solve their own component, return the union of the solo solutions.
+TEST(DisconnectedConformance, ComponentsRunAsTheyWouldAlone) {
+  const graph::Graph g = two_components();
+  const graph::Components comps = graph::connected_components(g);
+  std::vector<graph::InducedSubgraph> solo;
+  for (int c = 0; c < comps.count; ++c) {
+    std::vector<graph::VertexId> members;  // ascending: ids keep their order
+    for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
+      if (comps.component[static_cast<std::size_t>(v)] == c)
+        members.push_back(v);
+    solo.push_back(graph::induced_subgraph(g, members));
+  }
+  for (const char* name : {"mvc", "mvc53", "mwvc", "naive-mvc", "naive-mds"})
+    for (int r : {2, 4}) {
+      const Algorithm& alg = algorithm_or_throw(name);
+      const CellResult whole =
+          run_cell_on(g, disconnected_cell(alg, g, r), /*exact_max_n=*/24);
+      ASSERT_EQ(whole.status, CellStatus::kOk) << name << ": " << whole.error;
+      std::int64_t longest = 0, total = 0;
+      std::size_t size = 0;
+      for (const graph::InducedSubgraph& part : solo) {
+        const CellResult alone = run_cell_on(
+            part.graph, disconnected_cell(alg, part.graph, r), 24);
+        ASSERT_EQ(alone.status, CellStatus::kOk) << name << ": " << alone.error;
+        longest = std::max(longest, alone.rounds);
+        total += alone.rounds;
+        size += alone.solution_size;
+      }
+      const std::string where = std::string(name) + " r=" + std::to_string(r);
+      EXPECT_LE(longest, whole.rounds) << where;
+      EXPECT_LE(whole.rounds, total) << where;
+      EXPECT_EQ(whole.solution_size, size) << where;
+    }
+}
 
 }  // namespace
 }  // namespace pg::scenario

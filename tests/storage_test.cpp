@@ -200,6 +200,18 @@ TEST(Importer, FixtureRoundTripsThroughPgcsr) {
   expect_same_topology(imported.graph, mapped.view());
 }
 
+TEST(Importer, SelfLoopKeepsItsVertex) {
+  // 9 appears only in its self-loop: the loop is dropped, the vertex is an
+  // isolated one (id 3 after the remap).
+  std::istringstream in("1 2\n2 5\n9 9\n");
+  const ImportResult imported = import_edge_list(in);
+  ASSERT_EQ(imported.graph.num_vertices(), 4);
+  EXPECT_EQ(imported.graph.num_edges(), 2u);
+  EXPECT_EQ(imported.graph.degree(3), 0);
+  EXPECT_EQ(imported.stats.self_loops, 1u);
+  EXPECT_EQ(imported.stats.max_id, 9);
+}
+
 TEST(Importer, RejectsMalformedInputWithLineNumber) {
   {
     std::istringstream in("1 2\nnot an edge\n");
