@@ -160,13 +160,6 @@ void Network::set_fault_model(const FaultModel& model) {
   arm_faults();
 }
 
-void Network::clear_fault_model() {
-  fault_model_ = FaultModel{};
-  drop_threshold_ = corrupt_threshold_ = crash_threshold_ = 0;
-  faults_enabled_ = false;
-  arm_faults();
-}
-
 void Network::begin_faulty_round() {
   PG_REQUIRE(
       round_limit_ < 0 || stats_.rounds < round_limit_,

@@ -265,7 +265,6 @@ class Network {
   /// construction and `reset(topology)` (a rebind means a new cell).
   /// Installing a model re-arms crash state and the default round budget.
   void set_fault_model(const FaultModel& model);
-  void clear_fault_model();
   /// True iff an enabled fault model is installed.  Algorithms may consult
   /// this to relax *self*-checks whose failure under an adversary is the
   /// expected outcome (the sweep's --certify pass re-checks independently);
@@ -273,7 +272,6 @@ class Network {
   /// formats are not among those self-checks: the declared domains already
   /// keep corrupted payloads out of range (see `declare`).
   bool faults_active() const { return faults_enabled_; }
-  const FaultModel& fault_model() const { return fault_model_; }
 
   /// Declares the domain of message kind `kind`: `fields.size()` fields,
   /// the i-th within the inclusive `fields[i]`.  Sends of the kind are
@@ -288,7 +286,6 @@ class Network {
   /// (64·n + 16384 when a fault model is active, unlimited otherwise);
   /// -1 means unlimited.
   void set_round_limit(std::int64_t limit) { round_limit_ = limit; }
-  std::int64_t round_limit() const { return round_limit_; }
 
   /// Executes one synchronous round.  `step(NodeView&)` is called for every
   /// node; messages sent become visible in inboxes next round.  The step

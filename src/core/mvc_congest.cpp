@@ -97,29 +97,13 @@ void deterministic_phase1(Network& net, int l, std::vector<char>& in_r,
     any_candidate = net.last_round_sent_messages();
     if (!any_candidate) break;
 
-    // Round 3: spread the max candidate id one hop.
-    net.round([&](NodeView& node) {
-      const auto me = static_cast<std::size_t>(node.id());
-      NodeId best = is_candidate[me] != 0 ? node.id() : -1;
-      for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kCandidate) best = std::max(best, in.from);
-      max1[me] = best;
-      node.broadcast(Message{kMaxCand, {best}});
-    });
-
-    // Round 4: compute the 2-hop max; winners notify their neighborhoods.
-    net.round([&](NodeView& node) {
-      const auto me = static_cast<std::size_t>(node.id());
-      NodeId best = max1[me];
-      for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kMaxCand)
-          best = std::max(best, static_cast<NodeId>(in.msg.at(0)));
-      if (is_candidate[me] != 0 && best == node.id()) {
-        // Selected: N(me) ∩ R joins the cover (learned next round 1).
-        in_c[me] = 0;
-        node.broadcast(Message{kSelect, {}});
-      }
-    });
+    // Rounds 3 and 4: the 2-hop max candidates are selected, and
+    // N(c) ∩ R joins the cover (learned next round 1).
+    select_two_hop_max(net, kCandidate, kMaxCand, is_candidate, max1,
+                       [&](NodeView& node) {
+                         in_c[static_cast<std::size_t>(node.id())] = 0;
+                         node.broadcast(Message{kSelect, {}});
+                       });
     ++result.iterations;
   }
 }
@@ -229,11 +213,12 @@ void randomized_phase1(Network& net, double epsilon, Rng& rng,
 /// The leader's local step (free in either model): decode its
 /// component's F, rebuild H = G^2[U] there (Lemma 3), solve it, and return
 /// R* as vertices of G.  Leaders of several components each add their
-/// share to the result's totals.
+/// share to the result's totals and draw on one exact-search `budget`.
 std::vector<VertexId> solve_at_leader(std::size_t n,
                                       const std::vector<std::uint64_t>& raw,
                                       const MvcCongestConfig& config,
                                       std::vector<VertexId>& to_h,
+                                      std::int64_t& budget,
                                       MvcCongestResult& result) {
   FEdges f;
   for (std::uint64_t token : raw) f.add(n, token);
@@ -244,25 +229,20 @@ std::vector<VertexId> solve_at_leader(std::size_t n,
   std::sort(u_list.begin(), u_list.end());
   u_list.erase(std::unique(u_list.begin(), u_list.end()), u_list.end());
   result.remainder_size += u_list.size();
-  const Graph h = remainder_square(u_list, f.edges, f.u_neighbors, to_h);
+  const LocalIds u(to_h, u_list);
+  const Graph h = remainder_square(u, f.edges, f.u_neighbors);
 
   VertexSet h_cover(h.num_vertices());
-  switch (config.leader_solver) {
-    case LeaderSolver::kExact: {
-      const solvers::ExactResult exact =
-          solvers::solve_mvc(h, config.exact_node_budget);
-      result.leader_solution_optimal &= exact.optimal;
-      h_cover = exact.solution;
-      break;
-    }
-    case LeaderSolver::kFiveThirds:
-      h_cover = five_thirds_cover(h);
-      result.leader_solution_optimal = false;
-      break;
-    case LeaderSolver::kTwoApprox:
-      h_cover = graph::matching_vertex_cover(h);
-      result.leader_solution_optimal = false;
-      break;
+  if (config.leader_solver == LeaderSolver::kExact) {
+    const solvers::ExactResult exact = solvers::solve_mvc(h, budget);
+    budget -= exact.nodes_explored;
+    result.leader_solution_optimal &= exact.optimal;
+    h_cover = exact.solution;
+  } else {
+    h_cover = config.leader_solver == LeaderSolver::kFiveThirds
+                  ? five_thirds_cover(h)
+                  : graph::matching_vertex_cover(h);
+    result.leader_solution_optimal = false;
   }
   std::vector<VertexId> r_star;
   for (VertexId hv : h_cover.to_vector())
@@ -340,10 +320,11 @@ MvcCongestResult run_algorithm1(Network& net, const MvcCongestConfig& config,
   result.phase1_rounds = net.stats().rounds;
   result.phase1_cover_size = result.cover.size();
 
-  std::vector<VertexId> to_h(n, -1);  // remainder_square's id table
+  std::vector<VertexId> to_h(n, -1);  // the leaders' LocalIds table
+  std::int64_t budget = config.exact_node_budget;
   transport(f_edge_tokens(net, kUStatus, in_r),  // U = V \ S = R
             [&](NodeId, const std::vector<std::uint64_t>& raw) {
-              return solve_at_leader(n, raw, config, to_h, result);
+              return solve_at_leader(n, raw, config, to_h, budget, result);
             },
             result.cover);
   result.phase2_rounds = net.stats().rounds - result.phase1_rounds;

@@ -15,6 +15,7 @@
 // tree construction, and pipelining.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -36,7 +37,7 @@ enum class LeaderSolver {
 struct MvcCongestConfig {
   double epsilon = 0.5;
   LeaderSolver leader_solver = LeaderSolver::kExact;
-  std::int64_t exact_node_budget = 50'000'000;
+  std::int64_t exact_node_budget = 50'000'000;  // shared by all leaders
 };
 
 struct MvcCongestResult {
@@ -92,6 +93,35 @@ using LeaderSolve = congest::LeaderSolve;
 using Phase2Transport =
     std::function<void(std::vector<std::vector<std::uint64_t>> tokens,
                        const LeaderSolve& solve, graph::VertexSet& cover)>;
+
+/// Phase I's symmetry breaking, shared by Theorems 1 and 7: candidates
+/// announced themselves in `cand_kind` messages last round; this round
+/// every node broadcasts the largest candidate id within one hop (a
+/// `max_kind` message, declared {-1, n-1}; `max1` is per-node scratch),
+/// and next round `win(node)` runs at each candidate that holds the
+/// largest id within two hops.
+template <typename Win>
+void select_two_hop_max(congest::Network& net, std::uint8_t cand_kind,
+                        std::uint8_t max_kind,
+                        const std::vector<char>& is_candidate,
+                        std::vector<congest::NodeId>& max1, Win&& win) {
+  net.round([&](congest::NodeView& node) {
+    const auto me = static_cast<std::size_t>(node.id());
+    congest::NodeId best = is_candidate[me] != 0 ? node.id() : -1;
+    for (const congest::Incoming& in : node.inbox())
+      if (in.msg.kind == cand_kind) best = std::max(best, in.from);
+    max1[me] = best;
+    node.broadcast(congest::Message{max_kind, {best}});
+  });
+  net.round([&](congest::NodeView& node) {
+    const auto me = static_cast<std::size_t>(node.id());
+    congest::NodeId best = max1[me];
+    for (const congest::Incoming& in : node.inbox())
+      if (in.msg.kind == max_kind)
+        best = std::max(best, static_cast<congest::NodeId>(in.msg.at(0)));
+    if (is_candidate[me] != 0 && best == node.id()) win(node);
+  });
+}
 
 /// Phase II's first two rounds, shared by Theorems 1 and 7: every node
 /// announces in a `kind` message (declared {0, 1}) whether it is in U, then

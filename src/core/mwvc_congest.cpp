@@ -9,7 +9,6 @@
 #include "congest/primitives.hpp"
 #include "core/mvc_congest.hpp"
 #include "core/solver_util.hpp"
-#include "graph/matching.hpp"
 #include "solvers/exact_vc.hpp"
 #include "solvers/greedy.hpp"
 
@@ -187,27 +186,13 @@ MwvcCongestResult solve_g2_mwvc_congest(Network& net, const VertexWeights& w,
     any_candidate = net.last_round_sent_messages();
     if (!any_candidate) break;
 
-    // Round 3: 1-hop max candidate id.
-    net.round([&](NodeView& node) {
-      const auto me = static_cast<std::size_t>(node.id());
-      NodeId best = is_candidate[me] != 0 ? node.id() : -1;
-      for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kCandidate) best = std::max(best, in.from);
-      max1[me] = best;
-      node.broadcast(Message{kMaxCand, {best}});
-    });
-
-    // Round 4: 2-hop max; winners announce (class, w_min).
-    net.round([&](NodeView& node) {
-      const auto me = static_cast<std::size_t>(node.id());
-      NodeId best = max1[me];
-      for (const Incoming& in : node.inbox())
-        if (in.msg.kind == kMaxCand)
-          best = std::max(best, static_cast<NodeId>(in.msg.at(0)));
-      if (is_candidate[me] != 0 && best == node.id())
-        node.broadcast(Message{
-            kSelect, {chosen_class[me], w_min[me]}});
-    });
+    // Rounds 3 and 4: the 2-hop max candidates announce (class, w_min).
+    select_two_hop_max(net, kCandidate, kMaxCand, is_candidate, max1,
+                       [&](NodeView& node) {
+                         const auto me = static_cast<std::size_t>(node.id());
+                         node.broadcast(Message{
+                             kSelect, {chosen_class[me], w_min[me]}});
+                       });
     ++result.iterations;
   }
   result.phase1_rounds = net.stats().rounds;
@@ -240,9 +225,11 @@ MwvcCongestResult solve_g2_mwvc_congest(Network& net, const VertexWeights& w,
   }
 
   // Leader-local reconstruction of its component's H = G^2[U] with
-  // weights; each leader adds its share to the result's totals.
+  // weights; each leader adds its share to the result's totals and draws
+  // on one exact-search budget.
   const bool adversarial = net.faults_active();
-  std::vector<VertexId> to_h(n, -1);  // remainder_square's id table
+  std::vector<VertexId> to_h(n, -1);  // the leaders' LocalIds table
+  std::int64_t budget = config.exact_node_budget;
   const auto solve_at_leader = [&](NodeId,
                                    const std::vector<std::uint64_t>& raw) {
     FEdges f;
@@ -274,11 +261,13 @@ MwvcCongestResult solve_g2_mwvc_congest(Network& net, const VertexWeights& w,
       h_weights.set(static_cast<VertexId>(u_list.size()), weight);
       u_list.push_back(v);
     }
-    const Graph h = remainder_square(u_list, f.edges, f.u_neighbors, to_h);
+    const Graph h =
+        remainder_square(LocalIds(to_h, u_list), f.edges, f.u_neighbors);
     VertexSet h_cover(h.num_vertices());
     if (config.leader_exact) {
       const solvers::ExactResult exact =
-          solvers::solve_mwvc(h, h_weights, config.exact_node_budget);
+          solvers::solve_mwvc(h, h_weights, budget);
+      budget -= exact.nodes_explored;
       result.leader_solution_optimal &= exact.optimal;
       h_cover = exact.solution;
     } else {

@@ -25,7 +25,7 @@ namespace pg::core {
 struct MwvcCongestConfig {
   double epsilon = 0.5;
   bool leader_exact = true;  // exact weighted VC at the leader (else 2-approx)
-  std::int64_t exact_node_budget = 50'000'000;
+  std::int64_t exact_node_budget = 50'000'000;  // shared by all leaders
 };
 
 struct MwvcCongestResult {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "congest/primitives.hpp"
+#include "core/solver_util.hpp"
 #include "graph/power.hpp"
 #include "solvers/exact_ds.hpp"
 #include "solvers/exact_vc.hpp"
@@ -40,15 +41,15 @@ NaiveResult solve_naively_in_congest(Network& net, NaiveProblem problem,
   // Leader-local: rebuild its component of G over the token endpoints and
   // itself, in ascending id order, square it, solve exactly.  A well-formed
   // token has u < v (the lower endpoint reports), so one a corruption left
-  // inside kToken's domain but not in that shape is dropped.  `local` maps
-  // a vertex into the leader's graph; each leader clears the entries it
-  // set, so its cost follows its own tokens, not n.
-  std::vector<VertexId> local(n, -1);
+  // inside kToken's domain but not in that shape is dropped.  The leaders
+  // share one LocalIds table, whose entries also mark the ids a leader has
+  // seen, and one exact-search budget.
+  std::vector<VertexId> table(n, -1);
   std::size_t assembled_edges = 0;
   const auto solve = [&](NodeId leader, const std::vector<std::uint64_t>& raw) {
     std::vector<VertexId> ids;
     const auto see = [&](std::uint64_t v) {
-      if (local[v] == -1) ids.push_back(local[v] = static_cast<VertexId>(v));
+      if (table[v] == -1) ids.push_back(table[v] = static_cast<VertexId>(v));
     };
     see(static_cast<std::uint64_t>(leader));
     for (std::uint64_t token : raw)
@@ -57,13 +58,12 @@ NaiveResult solve_naively_in_congest(Network& net, NaiveProblem problem,
         see(token % n);
       }
     std::sort(ids.begin(), ids.end());
-    for (std::size_t i = 0; i < ids.size(); ++i)
-      local[static_cast<std::size_t>(ids[i])] = static_cast<VertexId>(i);
+    const LocalIds local(table, ids);
     graph::GraphBuilder builder(static_cast<VertexId>(ids.size()));
     for (std::uint64_t token : raw)
       if (token / n < token % n)
-        builder.add_edge(local[token / n], local[token % n]);
-    for (VertexId v : ids) local[static_cast<std::size_t>(v)] = -1;
+        builder.add_edge(local(static_cast<VertexId>(token / n)),
+                         local(static_cast<VertexId>(token % n)));
     const Graph assembled = std::move(builder).build();
     assembled_edges += assembled.num_edges();
     const Graph square = graph::square(assembled);
@@ -71,6 +71,7 @@ NaiveResult solve_naively_in_congest(Network& net, NaiveProblem problem,
         problem == NaiveProblem::kMvcOnSquare
             ? solvers::solve_mvc(square, exact_node_budget)
             : solvers::solve_mds(square, exact_node_budget);
+    exact_node_budget -= exact.nodes_explored;
     result.optimal = result.optimal && exact.optimal;
     std::vector<NodeId> chosen;
     for (VertexId v : exact.solution.to_vector())

@@ -25,8 +25,8 @@ struct NaiveResult {
 };
 
 /// Gathers each component of G at its leader, solves `problem` on its
-/// square exactly, and broadcasts the answer; every round is simulated and
-/// counted.
+/// square exactly within one node budget that all leaders share, and
+/// broadcasts the answer; every round is simulated and counted.
 NaiveResult solve_naively_in_congest(
     graph::GraphView g, NaiveProblem problem,
     std::int64_t exact_node_budget = 50'000'000);

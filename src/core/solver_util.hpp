@@ -84,43 +84,57 @@ struct FEdges {
   }
 };
 
+/// One leader's local numbering of G's vertices: the sorted, distinct
+/// `ids[i]` maps to i in an n-entry table that every leader of a run
+/// shares (-1 elsewhere), and the table is restored when the numbering
+/// goes out of scope, so a leader's cost follows its own tokens, not n.
+struct LocalIds {
+  std::vector<graph::VertexId>& table;
+  const std::vector<graph::VertexId>& ids;
+
+  // at(): ids come from decoded tokens, and one past n must throw rather
+  // than write out of bounds.
+  LocalIds(std::vector<graph::VertexId>& shared,
+           const std::vector<graph::VertexId>& sorted_ids)
+      : table(shared), ids(sorted_ids) {
+    for (std::size_t i = 0; i < ids.size(); ++i)
+      table.at(static_cast<std::size_t>(ids[i])) =
+          static_cast<graph::VertexId>(i);
+  }
+  LocalIds(const LocalIds&) = delete;
+  ~LocalIds() {
+    for (graph::VertexId v : ids) table[static_cast<std::size_t>(v)] = -1;
+  }
+  /// v's local id, or -1 outside `ids`.
+  graph::VertexId operator()(graph::VertexId v) const {
+    return table[static_cast<std::size_t>(v)];
+  }
+};
+
 /// Lemma 3's leader-side reconstruction of H = G^2[U], shared by the
-/// Theorem 1 and Theorem 7 Phase IIs: U-vertex u_list[i] becomes H-vertex
+/// Theorem 1 and Theorem 7 Phase IIs: U-vertex u.ids[i] becomes H-vertex
 /// i, F-edges with both ends in U become H-edges, and the U-neighbors of
-/// each vertex (`u_neighbors`, filtered to u_list, sorted and deduplicated
-/// in place) are joined pairwise.  Fault-free every listed neighbor is in
-/// u_list and every F-edge joins two vertices; tokens an adversary
-/// corrupted within their range can name a neighbor outside u_list or an
-/// F-edge {u, u}, and both are left out of H like an F-edge leaving U.
-/// `to_h` holds -1 for each of G's n vertices; the call maps u_list through
-/// it and restores it, so one table serves every leader of a run and each
-/// call's cost follows its own tokens, not n.
+/// each vertex (`u_neighbors`, filtered to U, sorted and deduplicated in
+/// place) are joined pairwise.  Fault-free every listed neighbor is in U
+/// and every F-edge joins two vertices; tokens an adversary corrupted
+/// within their range can name a neighbor outside U or an F-edge {u, u},
+/// and both are left out of H like an F-edge leaving U.
 inline graph::Graph remainder_square(
-    const std::vector<graph::VertexId>& u_list,
+    const LocalIds& u,
     const std::set<std::pair<graph::VertexId, graph::VertexId>>& f_edges,
-    std::map<graph::VertexId, std::vector<graph::VertexId>>& u_neighbors,
-    std::vector<graph::VertexId>& to_h) {
-  // at(): u_list comes from decoded tokens, and an id past n must throw
-  // rather than write out of bounds.
-  for (std::size_t i = 0; i < u_list.size(); ++i)
-    to_h.at(static_cast<std::size_t>(u_list[i])) =
-        static_cast<graph::VertexId>(i);
-  const auto h = [&](graph::VertexId v) {
-    return to_h[static_cast<std::size_t>(v)];
-  };
-  graph::GraphBuilder builder(static_cast<graph::VertexId>(u_list.size()));
-  for (const auto& [u, v] : f_edges)  // direct edges inside U
-    if (u != v && h(u) != -1 && h(v) != -1) builder.add_edge(h(u), h(v));
+    std::map<graph::VertexId, std::vector<graph::VertexId>>& u_neighbors) {
+  graph::GraphBuilder builder(static_cast<graph::VertexId>(u.ids.size()));
+  for (const auto& [a, b] : f_edges)  // direct edges inside U
+    if (a != b && u(a) != -1 && u(b) != -1) builder.add_edge(u(a), u(b));
   for (auto& [w, nbrs] : u_neighbors) {  // pairs through a common neighbor
     (void)w;
-    std::erase_if(nbrs, [&](graph::VertexId v) { return h(v) == -1; });
+    std::erase_if(nbrs, [&](graph::VertexId v) { return u(v) == -1; });
     std::sort(nbrs.begin(), nbrs.end());
     nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
     for (std::size_t i = 0; i < nbrs.size(); ++i)
       for (std::size_t j = i + 1; j < nbrs.size(); ++j)
-        builder.add_edge(h(nbrs[i]), h(nbrs[j]));
+        builder.add_edge(u(nbrs[i]), u(nbrs[j]));
   }
-  for (graph::VertexId v : u_list) to_h[static_cast<std::size_t>(v)] = -1;
   return std::move(builder).build();
 }
 

@@ -26,17 +26,14 @@ std::vector<int> bfs_distances(GraphView g, VertexId source) {
 Components connected_components(GraphView g) {
   Components result;
   result.component.assign(static_cast<std::size_t>(g.num_vertices()), -1);
-  // One FIFO for every component's BFS: each vertex is queued exactly once.
-  std::vector<VertexId> queue;
-  queue.reserve(static_cast<std::size_t>(g.num_vertices()));
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     if (result.component[static_cast<std::size_t>(v)] != -1) continue;
     const int id = result.count++;
-    std::size_t head = queue.size();
-    queue.push_back(v);
+    std::deque<VertexId> queue{v};
     result.component[static_cast<std::size_t>(v)] = id;
-    while (head < queue.size()) {
-      const VertexId u = queue[head++];
+    while (!queue.empty()) {
+      const VertexId u = queue.front();
+      queue.pop_front();
       for (VertexId w : g.neighbors(u)) {
         if (result.component[static_cast<std::size_t>(w)] != -1) continue;
         result.component[static_cast<std::size_t>(w)] = id;

@@ -6,10 +6,10 @@
 // Every built-in scenario yields a *connected* graph, so a CONGEST cell
 // runs one leader (imported `file:` graphs may hold many components, one
 // leader each); random families that can fragment are post-linked with
-// `graph::link_components`, which adds at most components-1 edges.  Builders are deterministic in
-// (n, seed): the same pair always produces byte-identical topology, and
-// each scenario decorrelates its random stream from its siblings by mixing
-// the scenario name into the seed.
+// `graph::link_components`, which adds at most components-1 edges.
+// Builders are deterministic in (n, seed): the same pair always produces
+// byte-identical topology, and each scenario decorrelates its random
+// stream from its siblings by mixing the scenario name into the seed.
 #pragma once
 
 #include <cstdint>

@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "core/mvc_congest.hpp"
 #include "core/mwvc_congest.hpp"
+#include "core/naive.hpp"
 #include "core/solver_util.hpp"
 #include "core/trivial.hpp"
 #include "graph/cover.hpp"
@@ -272,14 +276,65 @@ TEST(RemainderSquare, SkipsSelfLoopsAndUnlistedNeighbors) {
       {1, 1}, {1, 3}, {2, 4}};
   std::map<VertexId, std::vector<VertexId>> u_neighbors = {
       {0, {4, 3, 4, 0}}, {2, {2, 4}}};
-  std::vector<VertexId> to_h(5, -1);
-  const Graph h = remainder_square(u_list, f_edges, u_neighbors, to_h);
-  ASSERT_EQ(h.num_vertices(), 3);
-  EXPECT_EQ(h.num_edges(), 2u);  // {1, 3} direct, {3, 4} through vertex 0
-  EXPECT_TRUE(h.has_edge(0, 1));
-  EXPECT_TRUE(h.has_edge(1, 2));
-  EXPECT_EQ(u_neighbors.at(0), (std::vector<VertexId>{3, 4}));
-  EXPECT_EQ(to_h, std::vector<VertexId>(5, -1));  // restored for reuse
+  std::vector<VertexId> table(5, -1);
+  {
+    const LocalIds u(table, u_list);
+    EXPECT_EQ(table, (std::vector<VertexId>{-1, 0, -1, 1, 2}));
+    const Graph h = remainder_square(u, f_edges, u_neighbors);
+    ASSERT_EQ(h.num_vertices(), 3);
+    EXPECT_EQ(h.num_edges(), 2u);  // {1, 3} direct, {3, 4} through vertex 0
+    EXPECT_TRUE(h.has_edge(0, 1));
+    EXPECT_TRUE(h.has_edge(1, 2));
+    EXPECT_EQ(u_neighbors.at(0), (std::vector<VertexId>{3, 4}));
+  }
+  EXPECT_EQ(table, std::vector<VertexId>(5, -1));  // restored for reuse
+  const std::vector<VertexId> past_n = {5};  // a decoded id past n throws
+  EXPECT_THROW({ const LocalIds ids(table, past_n); }, std::out_of_range);
+}
+
+// One exact-search budget serves a whole run: on two copies of a
+// component, a budget that exactly settles one copy's leader solve leaves
+// nothing for the second leader, and twice that budget settles both.
+TEST(LeaderBudget, ComponentsShareOneExactBudget) {
+  const Graph comp = graph::cycle_graph(13);
+  graph::GraphBuilder b(2 * comp.num_vertices());
+  comp.for_each_edge([&](VertexId u, VertexId v) {
+    b.add_edge(u, v);
+    b.add_edge(u + comp.num_vertices(), v + comp.num_vertices());
+  });
+  const Graph twice = std::move(b).build();
+  const std::vector<std::pair<std::string, std::function<bool(
+      const Graph&, std::int64_t)>>> runs = {
+      {"mvc", [](const Graph& g, std::int64_t budget) {
+         MvcCongestConfig config;
+         config.epsilon = 0.25;
+         config.exact_node_budget = budget;
+         return solve_g2_mvc_congest(g, config).leader_solution_optimal;
+       }},
+      {"mwvc", [](const Graph& g, std::int64_t budget) {
+         MwvcCongestConfig config;
+         config.epsilon = 0.25;
+         config.exact_node_budget = budget;
+         const VertexWeights wg(g.num_vertices(), 1);
+         return solve_g2_mwvc_congest(g, wg, config).leader_solution_optimal;
+       }},
+      {"naive-mvc", [](const Graph& g, std::int64_t budget) {
+         return solve_naively_in_congest(g, NaiveProblem::kMvcOnSquare, budget)
+             .optimal;
+       }},
+      {"naive-mds", [](const Graph& g, std::int64_t budget) {
+         return solve_naively_in_congest(g, NaiveProblem::kMdsOnSquare, budget)
+             .optimal;
+       }},
+  };
+  for (const auto& [name, optimal] : runs) {
+    SCOPED_TRACE(name);
+    std::int64_t solo = 1;  // the nodes one copy's leader solve explores
+    while (!optimal(comp, solo)) ++solo;
+    EXPECT_GT(solo, 1);  // the leader solve really searches
+    EXPECT_FALSE(optimal(twice, solo));
+    EXPECT_TRUE(optimal(twice, 2 * solo));
+  }
 }
 
 // ------------------------------------------------------------- Lemma 6 ----
